@@ -40,7 +40,10 @@ class AggregatorSpec:
             raise ValueError(f"unknown aggregation rule {self.rule!r}")
 
     def validate(self, num_models: int) -> None:
-        """Check rule parameters against the size of the model set."""
+        """Check rule parameters against the size of the model set.
+
+        Every rule calls this; it is the only check of c, beta, theta and gamma.
+        """
         m, c = num_models, self.assumed_compromised
         if m < 1:
             raise ValueError("empty model set")
@@ -71,7 +74,7 @@ def pairwise_sq_dists(models: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neighbor_score_sums(sq_dists: np.ndarray, neighbor_count: int) -> np.ndarray:
+def neighbor_score_sums(sq_dists: np.ndarray, neighbor_count: int) -> np.ndarray:
     """Per row: sum of the ``neighbor_count`` smallest off-diagonal entries.
 
     Row-sorting puts the zero self-distance first; skipping one leading
@@ -90,9 +93,8 @@ def krum_scores(models, assumed_compromised: int) -> np.ndarray:
     """Sum of squared distances from each model to its m-c-2 nearest peers."""
     arr = as_model_matrix(models)
     m = arr.shape[0]
-    if m < assumed_compromised + 3:
-        raise ValueError(f"krum needs m >= c+3 (m={m}, c={assumed_compromised})")
-    return _neighbor_score_sums(pairwise_sq_dists(arr), m - assumed_compromised - 2)
+    AggregatorSpec("krum", assumed_compromised=assumed_compromised).validate(m)
+    return neighbor_score_sums(pairwise_sq_dists(arr), m - assumed_compromised - 2)
 
 
 def krum(models, assumed_compromised: int) -> tuple[int, np.ndarray]:
@@ -107,8 +109,7 @@ def trimmed_mean(models, trim_count: int) -> np.ndarray:
     """Per coordinate: drop the trim_count largest and smallest values, average the rest."""
     arr = as_model_matrix(models)
     m = arr.shape[0]
-    if not 0 <= trim_count < m / 2:
-        raise ValueError(f"trim count must satisfy 0 <= beta < m/2 (m={m}, beta={trim_count})")
+    AggregatorSpec("trimmed_mean", trim_count=trim_count).validate(m)
     ordered = np.sort(arr, axis=0)
     kept = ordered[trim_count : m - trim_count]
     return kept.mean(axis=0)
@@ -129,13 +130,12 @@ def bulyan(models, assumed_compromised: int, selection_count: int, average_count
     """
     arr = as_model_matrix(models)
     m = arr.shape[0]
-    spec = AggregatorSpec(
+    AggregatorSpec(
         "bulyan",
         assumed_compromised=assumed_compromised,
         selection_count=selection_count,
         average_count=average_count,
-    )
-    spec.validate(m)
+    ).validate(m)
 
     sq = pairwise_sq_dists(arr)
     remaining = list(range(m))
@@ -143,7 +143,7 @@ def bulyan(models, assumed_compromised: int, selection_count: int, average_count
     for _ in range(selection_count):
         sub = sq[np.ix_(remaining, remaining)]
         neighbors = max(0, len(remaining) - assumed_compromised - 2)
-        scores = _neighbor_score_sums(sub, neighbors)
+        scores = neighbor_score_sums(sub, neighbors)
         winner = int(np.argmin(scores))
         selected.append(remaining.pop(winner))
 
@@ -156,15 +156,13 @@ def bulyan(models, assumed_compromised: int, selection_count: int, average_count
 
 
 def aggregate(spec: AggregatorSpec, models) -> np.ndarray:
-    """Dispatch to the configured rule after validating its parameters."""
-    arr = as_model_matrix(models)
-    spec.validate(arr.shape[0])
+    """Run the configured rule; each rule validates the models and its parameters."""
     if spec.rule == "mean":
-        return mean(arr)
+        return mean(models)
     if spec.rule == "krum":
-        return krum(arr, spec.assumed_compromised)[1]
+        return krum(models, spec.assumed_compromised)[1]
     if spec.rule == "trimmed_mean":
-        return trimmed_mean(arr, spec.trim_count)
+        return trimmed_mean(models, spec.trim_count)
     if spec.rule == "median":
-        return median(arr)
-    return bulyan(arr, spec.assumed_compromised, spec.selection_count, spec.average_count)
+        return median(models)
+    return bulyan(models, spec.assumed_compromised, spec.selection_count, spec.average_count)

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flrlab.aggregation import krum, mean, median, pairwise_sq_dists, trimmed_mean
+from flrlab.aggregation import krum, mean, median, neighbor_score_sums, pairwise_sq_dists, trimmed_mean
 from flrlab.core import as_model_matrix, as_vector, signed_direction
 from flrlab.data import Dataset
 
+KNOWLEDGE_MODES = ("full", "partial")
 OBJECTIVES = ("directed_deviation", "deviation")
 CRAFT_TARGETS = ("krum", "bulyan", "trimmed_mean", "median", "mean")
 
@@ -34,12 +35,12 @@ class KnowledgeScope:
     construction.  ``w_received`` is the global model the master broadcast.
     """
 
-    mode: str  # "full" | "partial"
+    mode: str  # one of KNOWLEDGE_MODES
     models: np.ndarray
     w_received: np.ndarray
 
     def __post_init__(self):
-        if self.mode not in ("full", "partial"):
+        if self.mode not in KNOWLEDGE_MODES:
             raise ValueError(f"unknown knowledge mode {self.mode!r}")
         arr = as_model_matrix(self.models)
         w = as_vector(self.w_received, dim=arr.shape[1])
@@ -62,7 +63,6 @@ class AttackSpec:
     support_radius: float = 0.01
     interval_factor: float = 2.0
     shift_floor: float = 1e-5
-    assumed_trim: int | None = None  # trim count used when simulating trimmed mean
 
     def __post_init__(self):
         if self.target_rule not in CRAFT_TARGETS:
@@ -79,12 +79,10 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class CoordinateStats:
-    """Per-coordinate mean, population standard deviation, and extremes."""
+    """Per-coordinate mean and population standard deviation."""
 
     mean: np.ndarray
     std: np.ndarray
-    maximum: np.ndarray
-    minimum: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int) -> 
     denom = n - crafted_count - 1
     if denom <= 0:
         raise ValueError(f"bound undefined: need crafted_count <= candidates-2 (n={n}, crafted={crafted_count})")
-    neighbor_sums = np.sort(pairwise_sq_dists(cand), axis=1)[:, 1 : n - 1].sum(axis=1)
+    neighbor_sums = neighbor_score_sums(pairwise_sq_dists(cand), n - 2)
     term1 = np.sqrt(neighbor_sums.min() / (denom * dim))
     term2 = np.sqrt(np.sum((cand - w_re) ** 2, axis=1)).max() / np.sqrt(dim)
     return float(term1 + term2)
@@ -233,18 +231,10 @@ def attack_krum(
     return KrumAttackResult(None, None, 0)
 
 
-attack_bulyan = attack_krum  # the Krum attack transfers to Bulyan unchanged
-
-
 def coordinate_stats(models) -> CoordinateStats:
     """Exact per-coordinate statistics (population standard deviation)."""
     arr = as_model_matrix(models)
-    return CoordinateStats(
-        mean=arr.mean(axis=0),
-        std=arr.std(axis=0),
-        maximum=arr.max(axis=0),
-        minimum=arr.min(axis=0),
-    )
+    return CoordinateStats(mean=arr.mean(axis=0), std=arr.std(axis=0))
 
 
 def _extreme_intervals(extremes: np.ndarray, factor: float, above: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +302,7 @@ def attack_trimmed_mean(
             s = as_vector(direction, dim=dim)
             go_above = s < 0
         else:
-            trim = spec.assumed_trim if spec.assumed_trim is not None else c
+            trim = c  # the attacker assumes the master trims as many as it controls
             base = _rule_per_coordinate(spec.target_rule, scope.models, trim)
             above_mid = np.vstack([np.tile((above_lo + above_hi) / 2.0, (c, 1)), benign])
             below_mid = np.vstack([np.tile((below_lo + below_hi) / 2.0, (c, 1)), benign])
@@ -323,9 +313,6 @@ def attack_trimmed_mean(
         hi = np.where(go_above, above_hi, below_hi)
 
     return rng.uniform(lo, hi, size=(c, dim))
-
-
-attack_median = attack_trimmed_mean  # the median rule is attacked identically
 
 
 def attack_gaussian(models, compromised_count: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Foundational numeric types: parameter vectors, model sets, seeded streams.
+"""Foundational numeric types: parameter vectors, model matrices, seeded streams.
 
 Model parameters are plain 1-D float64 numpy arrays throughout the package;
 :func:`as_vector` is the boundary check that enforces shape and finiteness.
@@ -40,39 +40,6 @@ def as_model_matrix(models) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("model set contains NaN or Inf")
     return arr
-
-
-@dataclass(frozen=True)
-class LocalModelSet:
-    """The per-iteration collection of local models at the master device.
-
-    ``models`` is an (m, d) matrix, one row per worker device.  By
-    convention the compromised devices occupy the first ``compromised_count``
-    rows; the count must stay strictly below half the devices.
-    """
-
-    models: np.ndarray
-    compromised_count: int = 0
-
-    def __post_init__(self):
-        arr = as_model_matrix(self.models)
-        object.__setattr__(self, "models", arr)
-        arr.setflags(write=False)
-        c, m = self.compromised_count, arr.shape[0]
-        if not 0 <= c < m / 2:
-            raise ValueError(f"compromised count {c} must satisfy 0 <= c < m/2 (m={m})")
-
-    @property
-    def num_devices(self) -> int:
-        return self.models.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.models.shape[1]
-
-    @property
-    def compromised(self) -> frozenset[int]:
-        return frozenset(range(self.compromised_count))
 
 
 @dataclass(frozen=True)

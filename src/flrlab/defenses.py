@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flrlab.aggregation import AggregatorSpec, aggregate, krum, pairwise_sq_dists
+from flrlab.aggregation import AggregatorSpec, aggregate, neighbor_score_sums, pairwise_sq_dists
 from flrlab.core import as_model_matrix
 from flrlab.data import Dataset
 from flrlab.models import ModelSpec, error_rate, loss, shard_objective
@@ -66,15 +66,12 @@ def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
     """
     m = models.shape[0]
     if agg_spec.rule == "krum":
-        c = agg_spec.assumed_compromised
-        if m - 1 < c + 3:
-            raise ValueError(f"krum leave-one-out needs m-1 >= c+3 (m={m}, c={c})")
+        agg_spec.validate(m - 1)
         sq = pairwise_sq_dists(models)
-        neighbors = (m - 1) - c - 2
+        neighbors = (m - 1) - agg_spec.assumed_compromised - 2
         for i in range(m):
             keep = np.flatnonzero(np.arange(m) != i)
-            sub = sq[np.ix_(keep, keep)]
-            scores = np.sort(sub, axis=1)[:, 1 : neighbors + 1].sum(axis=1)
+            scores = neighbor_score_sums(sq[np.ix_(keep, keep)], neighbors)
             yield i, models[keep[int(np.argmin(scores))]]
     else:
         for i in range(m):
@@ -111,58 +108,21 @@ def _largest_impacts(records: list[ImpactRecord], key, count: int) -> tuple[int,
     return tuple(sorted(int(records[i].device) for i in order[:count]))
 
 
-def _outcome(models: np.ndarray, removed, records, by_error=(), by_loss=()) -> DefenseOutcome:
-    mask = np.ones(models.shape[0], dtype=bool)
-    mask[list(removed)] = False
-    return DefenseOutcome(
-        survivors=models[mask],
-        removed=tuple(removed),
-        records=tuple(records),
-        removed_by_error=tuple(by_error),
-        removed_by_loss=tuple(by_loss),
-    )
-
-
-def defend_err(models, agg_spec: AggregatorSpec, model_spec: ModelSpec, spec: DefenseSpec) -> DefenseOutcome:
-    """Remove the ``removal_count`` models with the largest error-rate impact."""
-    arr = as_model_matrix(models)
-    _check_removal(spec, arr.shape[0])
-    records = impact_scores(arr, agg_spec, model_spec, spec.validation)
-    removed = _largest_impacts(records, lambda r: r.error_impact, spec.removal_count)
-    return _outcome(arr, removed, records, by_error=removed)
-
-
-def defend_lfr(models, agg_spec: AggregatorSpec, model_spec: ModelSpec, spec: DefenseSpec) -> DefenseOutcome:
-    """Remove the ``removal_count`` models with the largest loss impact."""
-    arr = as_model_matrix(models)
-    _check_removal(spec, arr.shape[0])
-    records = impact_scores(arr, agg_spec, model_spec, spec.validation)
-    removed = _largest_impacts(records, lambda r: r.loss_impact, spec.removal_count)
-    return _outcome(arr, removed, records, by_loss=removed)
-
-
-def defend_union(models, agg_spec: AggregatorSpec, model_spec: ModelSpec, spec: DefenseSpec) -> DefenseOutcome:
-    """Remove every model that either ERR or LFR would remove."""
-    arr = as_model_matrix(models)
-    _check_removal(spec, arr.shape[0])
-    records = impact_scores(arr, agg_spec, model_spec, spec.validation)
-    by_error = _largest_impacts(records, lambda r: r.error_impact, spec.removal_count)
-    by_loss = _largest_impacts(records, lambda r: r.loss_impact, spec.removal_count)
-    removed = tuple(sorted(set(by_error) | set(by_loss)))
-    return _outcome(arr, removed, records, by_error=by_error, by_loss=by_loss)
-
-
 def apply_defense(models, agg_spec: AggregatorSpec, model_spec: ModelSpec, spec: DefenseSpec) -> DefenseOutcome:
+    """Remove the ``removal_count`` models with the largest error impact (ERR),
+    loss impact (LFR), or either (Union: the union of the two removals)."""
     arr = as_model_matrix(models)
     if spec.kind == "none":
         return DefenseOutcome(survivors=arr, removed=(), records=())
-    if spec.kind == "err":
-        return defend_err(arr, agg_spec, model_spec, spec)
-    if spec.kind == "lfr":
-        return defend_lfr(arr, agg_spec, model_spec, spec)
-    return defend_union(arr, agg_spec, model_spec, spec)
-
-
-def _check_removal(spec: DefenseSpec, num_models: int) -> None:
-    if spec.removal_count >= num_models:
-        raise ValueError(f"cannot remove {spec.removal_count} of {num_models} models")
+    if spec.removal_count >= arr.shape[0]:
+        raise ValueError(f"cannot remove {spec.removal_count} of {arr.shape[0]} models")
+    records = impact_scores(arr, agg_spec, model_spec, spec.validation)
+    by_error = by_loss = ()
+    if spec.kind != "lfr":
+        by_error = _largest_impacts(records, lambda r: r.error_impact, spec.removal_count)
+    if spec.kind != "err":
+        by_loss = _largest_impacts(records, lambda r: r.loss_impact, spec.removal_count)
+    removed = tuple(sorted(set(by_error) | set(by_loss)))
+    mask = np.ones(arr.shape[0], dtype=bool)
+    mask[list(removed)] = False
+    return DefenseOutcome(arr[mask], removed, tuple(records), by_error, by_loss)

@@ -18,8 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from flrlab.aggregation import RULES, AggregatorSpec, aggregate, krum, mean, median, trimmed_mean
+from flrlab.aggregation import RULES, AggregatorSpec, aggregate, mean, median, trimmed_mean
 from flrlab.attacks import (
+    KNOWLEDGE_MODES,
     AttackSpec,
     KnowledgeScope,
     attack_gaussian,
@@ -30,8 +31,8 @@ from flrlab.attacks import (
 )
 from flrlab.core import RngStream
 from flrlab.data import Dataset, load_csv, load_idx, partition_noniid, synth_blobs
-from flrlab.defenses import DefenseOutcome, DefenseSpec, apply_defense
-from flrlab.models import ModelSpec, error_rate, init_params, local_update, loss, shard_objective
+from flrlab.defenses import DEFENSE_KINDS, DefenseOutcome, DefenseSpec, apply_defense
+from flrlab.models import MODEL_KINDS, ModelSpec, error_rate, init_params, local_update, loss, shard_objective
 
 ATTACK_KINDS = ("none", "gaussian", "label_flip", "craft")
 SELECTION_STRATEGIES = ("last", "best_validation")
@@ -115,20 +116,31 @@ class ExperimentConfig:
             raise ConfigError(f"unknown aggregation rule {self.rule!r}")
         if self.attack not in ATTACK_KINDS:
             raise ConfigError(f"unknown attack {self.attack!r}")
-        if self.knowledge not in ("full", "partial"):
+        if self.knowledge not in KNOWLEDGE_MODES:
             raise ConfigError(f"unknown knowledge mode {self.knowledge!r}")
-        if self.defense not in ("none", "err", "lfr", "union"):
+        if self.defense not in DEFENSE_KINDS:
             raise ConfigError(f"unknown defense {self.defense!r}")
         if self.selection not in SELECTION_STRATEGIES:
             raise ConfigError(f"unknown selection strategy {self.selection!r}")
         if self.dataset not in DATASET_KINDS:
             raise ConfigError(f"unknown dataset kind {self.dataset!r}")
-        if self.model not in ("lr", "mlp"):
+        if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
         if self.attack == "craft":
             self.attack_spec()  # surfaces bad attack parameters early
+        # Model counts every iteration has: the rule aggregates the k sampled
+        # models; a defense also aggregates each (k-1)-model leave-one-out subset
+        # and at most k-c survivors.  Union's survivor count (k-2c to k-c) and
+        # the counts the attack sees under sampling depend on the run.
+        counts = [k, k - 1, k - self.resolved_assumed()] if self.defense != "none" else [k]
+        spec = self.aggregator_spec()
+        for n in counts:
+            try:
+                spec.validate(n)
+            except ValueError as exc:
+                raise ConfigError(f"{self.rule} cannot aggregate {n} models: {exc}") from exc
 
     def resolved_devices_per_round(self) -> int:
         return self.num_devices if self.devices_per_round is None else self.devices_per_round
@@ -186,7 +198,6 @@ class IterationReport:
 
 @dataclass
 class TrialState:
-    config: ExperimentConfig
     model_spec: ModelSpec
     agg_spec: AggregatorSpec
     train: Dataset
@@ -255,13 +266,12 @@ def _craft_models(
     direction = None
     if spec.objective == "directed_deviation":
         if config.knowledge == "full":
-            trim = spec.assumed_trim if spec.assumed_trim is not None else present
             if spec.target_rule == "mean":
                 before = mean(models)
             elif spec.target_rule == "median":
                 before = median(models)
             else:
-                before = trimmed_mean(models, trim)
+                before = trimmed_mean(models, present)
             direction = estimate_direction(scope, before)
         else:
             direction = estimate_direction(scope)
@@ -428,7 +438,6 @@ def run_trial(
         schedule = poison_schedule(config.iterations, config.poison_fraction, stream.child("schedule").generator())
 
     state = TrialState(
-        config=config,
         model_spec=model_spec,
         agg_spec=agg_spec,
         train=train,
@@ -491,8 +500,6 @@ def config_to_mapping(config: ExperimentConfig) -> dict[str, str]:
         value = getattr(config, f.name)
         if value is None:
             out[f.name] = "none"
-        elif isinstance(value, bool):
-            out[f.name] = "true" if value else "false"
         elif isinstance(value, float):
             out[f.name] = repr(value)
         else:
@@ -519,12 +526,6 @@ def _coerce(name: str, raw: str):
         return int(text)
     if base == "float":
         return float(text)
-    if base == "bool":
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"cannot parse boolean {name}={raw!r}")
     return text
 
 
@@ -545,7 +546,21 @@ def format_float(value: float) -> str:
 
 
 def metrics_csv_lines(records) -> list[str]:
-    """Stable CSV encoding of MetricsRecords (documented in the README)."""
+    """Stable CSV encoding of MetricsRecords: a header line, then one line per iteration.
+
+    Columns, in order:
+
+    - ``iteration``: 0-based iteration index;
+    - ``train_loss``: cross-entropy of the new global model on the training set;
+    - ``test_error``: its error rate on the test set;
+    - ``validation_error``: its error rate on the master's validation set;
+    - ``attack_active``: 1 if the iteration was scheduled for poisoning, else 0;
+    - ``attack_shift``: the Krum attack's crafted shift, empty when no Krum
+      attack produced a model (no attack, no solution, or another attack);
+    - ``removed_devices``: ';'-separated device ids the defense removed, ascending.
+
+    Floats are written with ``repr`` so they round-trip exactly.
+    """
     lines = ["iteration,train_loss,test_error,validation_error,attack_active,attack_shift,removed_devices"]
     for r in records:
         shift = "" if r.attack_shift is None else format_float(r.attack_shift)

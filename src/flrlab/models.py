@@ -13,6 +13,7 @@ import numpy as np
 from flrlab.core import as_vector
 from flrlab.data import Dataset, sample_batch
 
+MODEL_KINDS = ("lr", "mlp")
 PROB_FLOOR = 1e-12  # clamp before log so cross-entropy stays finite
 
 
@@ -20,13 +21,13 @@ PROB_FLOOR = 1e-12  # clamp before log so cross-entropy stays finite
 class ModelSpec:
     """Architecture description; parameter count is a pure function of it."""
 
-    kind: str  # "lr" or "mlp"
+    kind: str  # one of MODEL_KINDS
     num_features: int
     num_classes: int
     hidden: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("lr", "mlp"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "mlp" and self.hidden < 1:
             raise ValueError("mlp needs a positive hidden width")

@@ -5,10 +5,8 @@ from flrlab.aggregation import krum, trimmed_mean
 from flrlab.attacks import (
     AttackSpec,
     KnowledgeScope,
-    attack_bulyan,
     attack_gaussian,
     attack_krum,
-    attack_median,
     attack_trimmed_mean,
     coordinate_stats,
     estimate_direction,
@@ -176,9 +174,6 @@ class TestAttackKrum:
             offset = result.models[0] - scope.w_received
             assert np.allclose(offset, -result.shift * np.ones_like(offset), atol=1e-12)
 
-    def test_bulyan_attack_is_same_function(self):
-        assert attack_bulyan is attack_krum
-
     def test_seeded_reproducibility(self):
         scope, c = full_scope(RngStream(6, "a").generator())
         one = attack_krum(scope, AttackSpec("krum"), c, RngStream(7, "a").generator())
@@ -191,14 +186,12 @@ class TestCoordinateStats:
     def test_identical_models(self):
         stats = coordinate_stats(np.tile(np.array([2.0, -1.0]), (4, 1)))
         assert np.all(stats.std == 0)
-        assert np.array_equal(stats.maximum, stats.minimum)
         assert np.array_equal(stats.mean, np.array([2.0, -1.0]))
 
     def test_one_two_three(self):
         stats = coordinate_stats(np.array([[1.0], [2.0], [3.0]]))
         assert stats.mean[0] == pytest.approx(2.0)
         assert stats.std[0] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-12)  # population convention
-        assert stats.maximum[0] == 3.0 and stats.minimum[0] == 1.0
 
     def test_order_invariant(self):
         rng = RngStream(8, "s").generator()
@@ -207,8 +200,6 @@ class TestCoordinateStats:
         a, b = coordinate_stats(models), coordinate_stats(models[perm])
         assert np.allclose(a.mean, b.mean, atol=1e-12)
         assert np.allclose(a.std, b.std, atol=1e-12)
-        assert np.array_equal(a.maximum, b.maximum)
-        assert np.array_equal(a.minimum, b.minimum)
 
 
 def full_tm_scope(benign_rows, compromised_rows, w_re=None):
@@ -300,9 +291,6 @@ class TestAttackTrimmedMean:
             attack_trimmed_mean(
                 scope, AttackSpec("median", objective="deviation"), 2, None, RngStream(0, "t").generator()
             )
-
-    def test_median_attack_is_same_function(self):
-        assert attack_median is attack_trimmed_mean
 
 
 class TestAttackGaussian:

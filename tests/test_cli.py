@@ -1,0 +1,68 @@
+import json
+from pathlib import Path
+
+from flrlab.cli import main
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_metrics.json").read_text())
+
+SMALL = """\
+# a 10-device federation that runs in well under a second
+num_devices = 10
+compromised = 2
+iterations = 3
+synth_per_class = 50
+synth_test_per_class = 20
+validation_size = 20
+"""
+
+
+def small_config(tmp_path: Path) -> str:
+    path = tmp_path / "small.cfg"
+    path.write_text(SMALL)
+    return str(path)
+
+
+def test_run_writes_trial_and_summary(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--seed", "0", "--config", small_config(tmp_path), "--out", str(out)]) == 0
+    assert (out / "trial_00.csv").read_text() == GOLDEN["mean/none/none"]
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[0].startswith("config_hash,trials,")
+    assert len(summary) == 2
+
+
+def test_sweep_writes_one_run_per_value(tmp_path):
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", small_config(tmp_path), "--param", "compromised", "--values", "1,2", "--out", str(out)]
+    assert main(args) == 0
+    for value in ("1", "2"):
+        assert (out / f"compromised_{value}_trial_00.csv").is_file()
+        assert (out / f"compromised_{value}_summary.csv").is_file()
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "compromised,mean_final_test_error"
+    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
+
+
+def test_defend_writes_the_matrix(tmp_path):
+    out = tmp_path / "defend"
+    args = ["defend", "--config", small_config(tmp_path), "--assumed", "trimmed_mean", "--actual", "median",
+            "--defenses", "none,err", "--knowledge", "full", "--out", str(out)]
+    assert main(args) == 0
+    rows = (out / "defend.csv").read_text().splitlines()
+    assert rows[0] == "actual_rule,defense,attacker_assumed_rule,mean_final_test_error"
+    assert [row.rsplit(",", 1)[0] for row in rows[1:]] == [
+        "median,none,none",
+        "median,none,trimmed_mean",
+        "median,err,none",
+        "median,err,trimmed_mean",
+    ]
+    assert (out / "median_err_trimmed_mean_trial_00.csv").read_text() == GOLDEN["median/err/craft-full"]
+
+
+def test_rejected_config_exits_2(tmp_path, capsys):
+    out = tmp_path / "bad"
+    args = ["run", "--seed", "0", "--config", small_config(tmp_path), "--set", "rule=bulyan", "--set", "defense=lfr",
+            "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()

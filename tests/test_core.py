@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flrlab.core import (
-    LocalModelSet,
     RngStream,
     as_vector,
     euclidean_distance,
@@ -69,28 +68,6 @@ class TestSignedDirection:
         ties = np.asarray(a) == np.asarray(b)
         assert np.all(fwd[~ties] == -rev[~ties])
         assert np.all(fwd[ties] == 1.0) and np.all(rev[ties] == 1.0)
-
-
-class TestLocalModelSet:
-    def test_basic(self):
-        ms = LocalModelSet(np.zeros((5, 3)), compromised_count=2)
-        assert ms.num_devices == 5 and ms.dim == 3
-        assert ms.compromised == frozenset({0, 1})
-
-    def test_rejects_majority_compromise(self):
-        with pytest.raises(ValueError):
-            LocalModelSet(np.zeros((4, 2)), compromised_count=2)
-
-    def test_rejects_non_finite(self):
-        bad = np.zeros((3, 2))
-        bad[1, 1] = np.inf
-        with pytest.raises(ValueError):
-            LocalModelSet(bad)
-
-    def test_models_are_frozen(self):
-        ms = LocalModelSet(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            ms.models[0, 0] = 1.0
 
 
 class TestRngStream:

@@ -7,9 +7,6 @@ from flrlab.data import Dataset, synth_blobs
 from flrlab.defenses import (
     DefenseSpec,
     apply_defense,
-    defend_err,
-    defend_lfr,
-    defend_union,
     impact_scores,
 )
 from flrlab.models import ModelSpec, error_rate, loss, shard_objective
@@ -100,20 +97,21 @@ class TestDefendErr:
         # constant-shift model would be harmless (softmax shift invariance)
         models[3] = -6.0 * models[0]
         spec = DefenseSpec("err", 1, validation)
-        outcome = defend_err(models, AggregatorSpec("mean"), model_spec, spec)
-        assert outcome.removed == (3,)
+        outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, spec)
+        assert outcome.removed == outcome.removed_by_error == (3,)
+        assert outcome.removed_by_loss == ()
         assert outcome.survivors.shape == (5, model_spec.dim)
 
     def test_survivor_count(self, validation, model_spec):
         models = trained_models(validation, model_spec, count=8)
         for c in (1, 2, 3):
-            outcome = defend_err(models, AggregatorSpec("mean"), model_spec, DefenseSpec("err", c, validation))
+            outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("err", c, validation))
             assert len(outcome.removed) == c
             assert outcome.survivors.shape[0] == 8 - c
 
     def test_ties_remove_lowest_indices(self, validation, model_spec):
         models = np.tile(np.linspace(0, 1, model_spec.dim), (6, 1))
-        outcome = defend_err(models, AggregatorSpec("mean"), model_spec, DefenseSpec("err", 2, validation))
+        outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("err", 2, validation))
         assert outcome.removed == (0, 1)
 
 
@@ -121,12 +119,13 @@ class TestDefendLfr:
     def test_huge_parameters_removed(self, validation, model_spec):
         models = trained_models(validation, model_spec)
         models[4] = 1e4
-        outcome = defend_lfr(models, AggregatorSpec("mean"), model_spec, DefenseSpec("lfr", 1, validation))
-        assert outcome.removed == (4,)
+        outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("lfr", 1, validation))
+        assert outcome.removed == outcome.removed_by_loss == (4,)
+        assert outcome.removed_by_error == ()
 
     def test_identical_models_remove_by_index(self, validation, model_spec):
         models = np.tile(np.linspace(0, 1, model_spec.dim), (6, 1))
-        outcome = defend_lfr(models, AggregatorSpec("mean"), model_spec, DefenseSpec("lfr", 3, validation))
+        outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("lfr", 3, validation))
         assert outcome.removed == (0, 1, 2)
 
 
@@ -137,9 +136,9 @@ class TestDefendUnion:
         models += 0.05 * rng.standard_normal(models.shape)
         agg = AggregatorSpec("mean")
         spec = DefenseSpec("union", 2, validation)
-        err_set = set(defend_err(models, agg, model_spec, DefenseSpec("err", 2, validation)).removed)
-        lfr_set = set(defend_lfr(models, agg, model_spec, DefenseSpec("lfr", 2, validation)).removed)
-        outcome = defend_union(models, agg, model_spec, spec)
+        err_set = set(apply_defense(models, agg, model_spec, DefenseSpec("err", 2, validation)).removed)
+        lfr_set = set(apply_defense(models, agg, model_spec, DefenseSpec("lfr", 2, validation)).removed)
+        outcome = apply_defense(models, agg, model_spec, spec)
         assert set(outcome.removed) == err_set | lfr_set
         assert set(outcome.removed_by_error) == err_set
         assert set(outcome.removed_by_loss) == lfr_set
@@ -148,9 +147,9 @@ class TestDefendUnion:
     def test_union_survivors_subset_of_each(self, validation, model_spec):
         models = trained_models(validation, model_spec, count=7, seed=11)
         agg = AggregatorSpec("median")
-        union = defend_union(models, agg, model_spec, DefenseSpec("union", 2, validation))
-        err = defend_err(models, agg, model_spec, DefenseSpec("err", 2, validation))
-        lfr = defend_lfr(models, agg, model_spec, DefenseSpec("lfr", 2, validation))
+        union = apply_defense(models, agg, model_spec, DefenseSpec("union", 2, validation))
+        err = apply_defense(models, agg, model_spec, DefenseSpec("err", 2, validation))
+        lfr = apply_defense(models, agg, model_spec, DefenseSpec("lfr", 2, validation))
         assert set(union.removed) >= set(err.removed)
         assert set(union.removed) >= set(lfr.removed)
 
@@ -173,7 +172,7 @@ class TestApplyDefense:
     def test_cannot_remove_everything(self, validation, model_spec):
         models = trained_models(validation, model_spec, count=3)
         with pytest.raises(ValueError):
-            defend_err(models, AggregatorSpec("mean"), model_spec, DefenseSpec("err", 3, validation))
+            apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("err", 3, validation))
 
     def test_trimmed_mean_loo_configuration_error(self, validation, model_spec):
         # beta = 2 is fine for 5 models but invalid for the 4-model subsets

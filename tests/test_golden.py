@@ -1,0 +1,85 @@
+"""Golden metrics CSVs: a small seeded grid must reproduce its recorded bytes.
+
+The grid crosses every aggregation rule with every defense and five attack
+settings on a 10-device federation.  ``golden_metrics.json`` holds the
+``metrics_csv_lines`` text of each config that runs; Bulyan under a defense
+cannot run at this size and is rejected by ``ExperimentConfig.validate``.
+
+Re-record (only when a behaviour change is intended) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from flrlab.aggregation import RULES
+from flrlab.defenses import DEFENSE_KINDS
+from flrlab.harness import ConfigError, ExperimentConfig, metrics_csv_lines, run_experiment
+
+GOLDEN = Path(__file__).with_name("golden_metrics.json")
+
+BASE = ExperimentConfig(
+    num_devices=10,
+    compromised=2,
+    iterations=3,
+    synth_per_class=50,
+    synth_test_per_class=20,
+    validation_size=20,
+)
+
+ATTACKS = {
+    "none": dict(attack="none"),
+    "gaussian": dict(attack="gaussian"),
+    "label_flip": dict(attack="label_flip"),
+    "craft-full": dict(attack="craft", knowledge="full"),
+    "craft-partial": dict(attack="craft", knowledge="partial"),
+}
+
+GRID = {
+    f"{rule}/{defense}/{attack}": replace(BASE, rule=rule, defense=defense, **fields)
+    for rule in RULES
+    for defense in DEFENSE_KINDS
+    for attack, fields in ATTACKS.items()
+}
+
+
+def csv_text(config: ExperimentConfig) -> str:
+    records = run_experiment(config).trial_results[0].records
+    return "\n".join(metrics_csv_lines(records)) + "\n"
+
+
+# empty while re-recording; the count check below then fails
+GOLDEN_CSV: dict[str, str] = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_metrics_csv_is_byte_identical(name):
+    assert csv_text(GRID[name]) == GOLDEN_CSV[name]
+
+
+def test_grid_configs_without_golden_are_rejected_before_iteration_zero():
+    assert len(GOLDEN_CSV) == 85
+    skipped = sorted(set(GRID) - set(GOLDEN_CSV))
+    assert skipped == sorted(
+        f"bulyan/{defense}/{attack}" for defense in DEFENSE_KINDS if defense != "none" for attack in ATTACKS
+    )
+    for name in skipped:
+        with pytest.raises(ConfigError):
+            GRID[name].validate()
+
+
+if __name__ == "__main__":
+    recorded = {}
+    for name, config in GRID.items():
+        try:
+            recorded[name] = csv_text(config)
+        except ValueError:
+            continue
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} of {len(GRID)} configs in {GOLDEN}")
