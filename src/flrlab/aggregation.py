@@ -2,7 +2,10 @@
 
 All rules are pure functions over an (m, d) matrix of local models, one row
 per device, returning a single d-vector.  Selection ties always break to the
-lowest device index so attack searches stay reproducible.
+lowest device index so attack searches stay reproducible.  Each input matrix
+is scanned (shape and finiteness) once per public call: by the first function
+that needs it, here :func:`pairwise_sq_dists` for the Krum family, and by no
+flrlab function that function calls.
 """
 
 from __future__ import annotations
@@ -85,24 +88,29 @@ def neighbor_score_sums(sq_dists: np.ndarray, neighbor_count: int) -> np.ndarray
     return ordered[:, 1 : neighbor_count + 1].sum(axis=1)
 
 
+def krum_select(sq_dists: np.ndarray, rows, assumed_compromised: int) -> int:
+    """The row among ``rows`` with the smallest Krum score computed within
+    ``rows``; ties go to the earliest position in ``rows``."""
+    neighbors = max(0, len(rows) - assumed_compromised - 2)
+    scores = neighbor_score_sums(sq_dists[np.ix_(rows, rows)], neighbors)
+    return int(rows[int(np.argmin(scores))])
+
+
 def mean(models) -> np.ndarray:
     return as_model_matrix(models).mean(axis=0)
 
 
 def krum_scores(models, assumed_compromised: int) -> np.ndarray:
     """Sum of squared distances from each model to its m-c-2 nearest peers."""
-    arr = as_model_matrix(models)
-    m = arr.shape[0]
-    AggregatorSpec("krum", assumed_compromised=assumed_compromised).validate(m)
-    return neighbor_score_sums(pairwise_sq_dists(arr), m - assumed_compromised - 2)
+    sq = pairwise_sq_dists(models)
+    AggregatorSpec("krum", assumed_compromised=assumed_compromised).validate(len(sq))
+    return neighbor_score_sums(sq, len(sq) - assumed_compromised - 2)
 
 
 def krum(models, assumed_compromised: int) -> tuple[int, np.ndarray]:
     """Select the local model with the smallest Krum score (lowest index on ties)."""
-    arr = as_model_matrix(models)
-    scores = krum_scores(arr, assumed_compromised)
-    chosen = int(np.argmin(scores))
-    return chosen, arr[chosen].copy()
+    chosen = int(np.argmin(krum_scores(models, assumed_compromised)))
+    return chosen, np.array(models[chosen], dtype=np.float64)
 
 
 def trimmed_mean(models, trim_count: int) -> np.ndarray:
@@ -128,8 +136,8 @@ def bulyan(models, assumed_compromised: int, selection_count: int, average_count
     Distance-to-median ties keep selection order (stable sort), and the inner
     Krum's neighbour count clips at zero once few models remain.
     """
-    arr = as_model_matrix(models)
-    m = arr.shape[0]
+    sq = pairwise_sq_dists(models)
+    m = sq.shape[0]
     AggregatorSpec(
         "bulyan",
         assumed_compromised=assumed_compromised,
@@ -137,17 +145,12 @@ def bulyan(models, assumed_compromised: int, selection_count: int, average_count
         average_count=average_count,
     ).validate(m)
 
-    sq = pairwise_sq_dists(arr)
-    remaining = list(range(m))
-    selected: list[int] = []
+    remaining, selected = list(range(m)), []
     for _ in range(selection_count):
-        sub = sq[np.ix_(remaining, remaining)]
-        neighbors = max(0, len(remaining) - assumed_compromised - 2)
-        scores = neighbor_score_sums(sub, neighbors)
-        winner = int(np.argmin(scores))
-        selected.append(remaining.pop(winner))
+        selected.append(krum_select(sq, remaining, assumed_compromised))
+        remaining.remove(selected[-1])
 
-    chosen = arr[selected]
+    chosen = np.asarray(models, dtype=np.float64)[selected]
     med = np.median(chosen, axis=0)
     dist_to_med = np.abs(chosen - med)
     order = np.argsort(dist_to_med, axis=0, kind="stable")[:average_count]

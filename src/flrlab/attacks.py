@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flrlab.aggregation import krum, mean, median, neighbor_score_sums, pairwise_sq_dists, trimmed_mean
+from flrlab.aggregation import AggregatorSpec, aggregate, krum, neighbor_score_sums, pairwise_sq_dists
 from flrlab.core import as_model_matrix, as_vector, signed_direction
 from flrlab.data import Dataset
 
@@ -127,7 +127,8 @@ def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int) -> 
     in partial knowledge); the evaluation set is those plus
     ``crafted_count`` identical crafted replicas.
     """
-    cand = as_model_matrix(candidate_models)
+    sq = pairwise_sq_dists(candidate_models)  # checks the matrix
+    cand = np.asarray(candidate_models, dtype=np.float64)
     n, dim = cand.shape
     w_re = as_vector(w_received, dim=dim)
     if n < 3:
@@ -135,7 +136,7 @@ def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int) -> 
     denom = n - crafted_count - 1
     if denom <= 0:
         raise ValueError(f"bound undefined: need crafted_count <= candidates-2 (n={n}, crafted={crafted_count})")
-    neighbor_sums = neighbor_score_sums(pairwise_sq_dists(cand), n - 2)
+    neighbor_sums = neighbor_score_sums(sq, n - 2)
     term1 = np.sqrt(neighbor_sums.min() / (denom * dim))
     term2 = np.sqrt(np.sum((cand - w_re) ** 2, axis=1)).max() / np.sqrt(dim)
     return float(term1 + term2)
@@ -173,6 +174,16 @@ def _binary_search_shift(
     return None
 
 
+def _check_scope(scope: KnowledgeScope, compromised_count: int) -> None:
+    """Full knowledge holds benign models beyond the compromised ones; partial holds exactly those."""
+    if compromised_count < 1:
+        raise ValueError("need at least one compromised device")
+    if scope.mode == "full" and scope.models.shape[0] <= compromised_count:
+        raise ValueError("full knowledge requires benign models in scope")
+    if scope.mode == "partial" and scope.models.shape[0] != compromised_count:
+        raise ValueError("partial knowledge sees exactly the compromised models")
+
+
 def attack_krum(
     scope: KnowledgeScope,
     spec: AttackSpec,
@@ -185,42 +196,33 @@ def attack_krum(
     crafted model replicated c times (the supporting replicas).  Partial
     knowledge searches against the compromised devices' before-attack models
     and, on failure, adds one more crafted replica to the evaluation set and
-    restarts, up to c replicas.  The emitted set is the crafted model plus
-    c-1 samples inside the support-radius ball around it.
+    restarts, up to c replicas.  A copy count whose shift bound is undefined
+    (candidates - copies - 1 <= 0) is skipped; with none left there is no
+    solution.  The emitted set is the crafted model plus c-1 samples inside
+    the support-radius ball around it.
     """
     if spec.target_rule not in ("krum", "bulyan"):
         raise ValueError("attack_krum targets the krum or bulyan rule")
     c = compromised_count
-    if c < 1:
-        raise ValueError("need at least one compromised device")
-    w_re = scope.w_received
-    dim = w_re.shape[0]
+    _check_scope(scope, c)
+    dim = scope.w_received.shape[0]
 
     if scope.mode == "full":
-        if scope.models.shape[0] <= c:
-            raise ValueError("full knowledge requires benign models in scope")
-        if spec.objective == "directed_deviation":
-            _, before = krum(scope.models, c)
-            direction = signed_direction(before, w_re)
-        else:
-            direction = np.ones(dim)
-        benign = scope.models[c:]
-        copy_plans = [c]
-        candidates = benign
+        candidates, copy_plans = scope.models[c:], [c]
     else:
-        if scope.models.shape[0] != c:
-            raise ValueError("partial knowledge sees exactly the compromised models")
-        if spec.objective == "directed_deviation":
-            direction = signed_direction(scope.models.mean(axis=0), w_re)
-        else:
-            direction = np.ones(dim)
-        # The evaluation Krum needs at least 3 candidates beyond the replicas
-        # and the bound needs candidates - copies - 1 > 0.
-        copy_plans = [a for a in range(1, c + 1) if c - a - 1 > 0]
-        candidates = scope.models
+        candidates, copy_plans = scope.models, range(1, c + 1)
+    copy_plans = [a for a in copy_plans if len(candidates) - a - 1 > 0]
+    if not copy_plans:
+        return KrumAttackResult(None, None, 0)
+
+    if spec.objective == "directed_deviation":
+        before = krum(scope.models, c)[1] if scope.mode == "full" else None
+        direction = estimate_direction(scope, before)
+    else:
+        direction = np.ones(dim)
 
     for copies in copy_plans:
-        found = _binary_search_shift(candidates, w_re, direction, copies, spec.shift_floor)
+        found = _binary_search_shift(candidates, scope.w_received, direction, copies, spec.shift_floor)
         if found is not None:
             shift, crafted = found
             out = np.empty((c, dim))
@@ -252,14 +254,6 @@ def _extreme_intervals(extremes: np.ndarray, factor: float, above: bool) -> tupl
     return lo, hi
 
 
-def _rule_per_coordinate(rule: str, models: np.ndarray, trim_count: int) -> np.ndarray:
-    if rule == "mean":
-        return mean(models)
-    if rule == "median":
-        return median(models)
-    return trimmed_mean(models, trim_count)
-
-
 def attack_trimmed_mean(
     scope: KnowledgeScope,
     spec: AttackSpec,
@@ -279,22 +273,17 @@ def attack_trimmed_mean(
     if spec.target_rule not in ("trimmed_mean", "median", "mean"):
         raise ValueError("attack_trimmed_mean targets a coordinate-wise rule")
     c = compromised_count
-    if c < 1:
-        raise ValueError("need at least one compromised device")
+    _check_scope(scope, c)
     dim = scope.w_received.shape[0]
 
     if scope.mode == "partial":
         if spec.objective != "directed_deviation":
             raise ValueError("the deviation objective is defined for full knowledge only")
-        if scope.models.shape[0] != c:
-            raise ValueError("partial knowledge sees exactly the compromised models")
         s = as_vector(direction, dim=dim)
         stats = coordinate_stats(scope.models)
         lo = np.where(s < 0, stats.mean + 3.0 * stats.std, stats.mean - 4.0 * stats.std)
         hi = np.where(s < 0, stats.mean + 4.0 * stats.std, stats.mean - 3.0 * stats.std)
     else:
-        if scope.models.shape[0] <= c:
-            raise ValueError("full knowledge requires benign models in scope")
         benign = scope.models[c:]
         above_lo, above_hi = _extreme_intervals(benign.max(axis=0), spec.interval_factor, above=True)
         below_lo, below_hi = _extreme_intervals(benign.min(axis=0), spec.interval_factor, above=False)
@@ -302,12 +291,13 @@ def attack_trimmed_mean(
             s = as_vector(direction, dim=dim)
             go_above = s < 0
         else:
-            trim = c  # the attacker assumes the master trims as many as it controls
-            base = _rule_per_coordinate(spec.target_rule, scope.models, trim)
+            # the attacker assumes the master trims as many as it controls
+            simulated = AggregatorSpec(spec.target_rule, trim_count=c)
+            base = aggregate(simulated, scope.models)
             above_mid = np.vstack([np.tile((above_lo + above_hi) / 2.0, (c, 1)), benign])
             below_mid = np.vstack([np.tile((below_lo + below_hi) / 2.0, (c, 1)), benign])
-            dev_above = np.abs(_rule_per_coordinate(spec.target_rule, above_mid, trim) - base)
-            dev_below = np.abs(_rule_per_coordinate(spec.target_rule, below_mid, trim) - base)
+            dev_above = np.abs(aggregate(simulated, above_mid) - base)
+            dev_below = np.abs(aggregate(simulated, below_mid) - base)
             go_above = dev_above >= dev_below
         lo = np.where(go_above, above_lo, below_lo)
         hi = np.where(go_above, above_hi, below_hi)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flrlab.aggregation import AggregatorSpec, aggregate, neighbor_score_sums, pairwise_sq_dists
+from flrlab.aggregation import AggregatorSpec, aggregate, krum_select, pairwise_sq_dists
 from flrlab.core import as_model_matrix
 from flrlab.data import Dataset
 from flrlab.models import ModelSpec, error_rate, loss, shard_objective
@@ -68,11 +68,9 @@ def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
     if agg_spec.rule == "krum":
         agg_spec.validate(m - 1)
         sq = pairwise_sq_dists(models)
-        neighbors = (m - 1) - agg_spec.assumed_compromised - 2
         for i in range(m):
             keep = np.flatnonzero(np.arange(m) != i)
-            scores = neighbor_score_sums(sq[np.ix_(keep, keep)], neighbors)
-            yield i, models[keep[int(np.argmin(scores))]]
+            yield i, models[krum_select(sq, keep, agg_spec.assumed_compromised)]
     else:
         for i in range(m):
             subset = np.delete(models, i, axis=0)
@@ -86,11 +84,11 @@ def impact_scores(
     validation: Dataset,
 ) -> list[ImpactRecord]:
     """Error-rate and loss impact of each local model on the validation set."""
-    arr = as_model_matrix(models)
+    with_all = aggregate(agg_spec, models)  # checks the matrix
+    arr = np.asarray(models, dtype=np.float64)
     if arr.shape[0] < 2:
         raise ValueError("leave-one-out impacts need at least two models")
     val_objective = shard_objective(model_spec, validation)
-    with_all = aggregate(agg_spec, arr)
     err_all = error_rate(model_spec, with_all, validation)
     loss_all = loss(val_objective, with_all)
     records = []
@@ -111,12 +109,12 @@ def _largest_impacts(records: list[ImpactRecord], key, count: int) -> tuple[int,
 def apply_defense(models, agg_spec: AggregatorSpec, model_spec: ModelSpec, spec: DefenseSpec) -> DefenseOutcome:
     """Remove the ``removal_count`` models with the largest error impact (ERR),
     loss impact (LFR), or either (Union: the union of the two removals)."""
-    arr = as_model_matrix(models)
     if spec.kind == "none":
-        return DefenseOutcome(survivors=arr, removed=(), records=())
+        return DefenseOutcome(survivors=as_model_matrix(models), removed=(), records=())
+    records = impact_scores(models, agg_spec, model_spec, spec.validation)  # checks the matrix
+    arr = np.asarray(models, dtype=np.float64)
     if spec.removal_count >= arr.shape[0]:
         raise ValueError(f"cannot remove {spec.removal_count} of {arr.shape[0]} models")
-    records = impact_scores(arr, agg_spec, model_spec, spec.validation)
     by_error = by_loss = ()
     if spec.kind != "lfr":
         by_error = _largest_impacts(records, lambda r: r.error_impact, spec.removal_count)

@@ -128,13 +128,23 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model kind {self.model!r}")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
+        if self.validation_size < 1:
+            raise ConfigError("validation size must be positive")
         if self.attack == "craft":
-            self.attack_spec()  # surfaces bad attack parameters early
-        # Model counts every iteration has: the rule aggregates the k sampled
-        # models; a defense also aggregates each (k-1)-model leave-one-out subset
-        # and at most k-c survivors.  Union's survivor count (k-2c to k-c) and
-        # the counts the attack sees under sampling depend on the run.
-        counts = [k, k - 1, k - self.resolved_assumed()] if self.defense != "none" else [k]
+            try:
+                self.attack_spec()
+            except ValueError as exc:
+                raise ConfigError(f"bad attack parameters: {exc}") from exc
+        c = self.resolved_assumed()
+        if self.defense != "none" and c < 1:
+            raise ConfigError(f"the {self.defense} defense removes c models; c must be positive")
+        # Model counts the rule must aggregate: k always; with a defense on, also k-1
+        # (leave-one-out) and k-c (survivors), plus k-2c for Union, which can remove up
+        # to 2c.  Left to set-up, which raises ValueError before iteration 0: label_bias
+        # and the MLP's hidden width.
+        counts = [k]
+        if self.defense != "none":
+            counts += [k - 1, k - c] + ([k - 2 * c] if self.defense == "union" else [])
         spec = self.aggregator_spec()
         for n in counts:
             try:
@@ -203,7 +213,6 @@ class TrialState:
     train: Dataset
     test: Dataset
     validation: Dataset
-    shards: list[np.ndarray]
     stream: RngStream
     poisoned_iterations: frozenset[int]
     weights: np.ndarray
@@ -443,7 +452,6 @@ def run_trial(
         train=train,
         test=test,
         validation=validation,
-        shards=shards,
         stream=stream,
         poisoned_iterations=schedule,
         weights=init_params(model_spec, stream.child("init").generator()),

@@ -170,7 +170,7 @@ def local_update(
         raise ValueError("learning rate must be non-negative")
     if rounds < 1:
         raise ValueError("need at least one local round")
-    w = as_vector(w_global, dim=objective.spec.dim).copy()
+    w = np.array(w_global, dtype=np.float64)  # gradient checks it
     for _ in range(rounds):
         batch = sample_batch(objective.size, batch_size, rng)
         w -= learning_rate * gradient(objective, w, batch)

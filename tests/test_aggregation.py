@@ -7,6 +7,7 @@ from flrlab.aggregation import (
     bulyan,
     krum,
     krum_scores,
+    krum_select,
     mean,
     median,
     pairwise_sq_dists,
@@ -97,6 +98,25 @@ class TestKrum:
     def test_m_too_small(self):
         with pytest.raises(ValueError):
             krum_scores(np.zeros((4, 2)), 2)
+
+
+class TestKrumSelect:
+    def test_matches_krum_on_the_subset(self):
+        rng = RngStream(11, "select").generator()
+        for _ in range(50):
+            models = random_models(rng, m=int(rng.integers(6, 10)))
+            rows = sorted(rng.choice(len(models), size=int(rng.integers(4, len(models) + 1)), replace=False))
+            c = int(rng.integers(0, len(rows) - 2))
+            chosen = krum_select(pairwise_sq_dists(models), rows, c)
+            assert chosen == rows[krum(models[rows], c)[0]]
+
+    def test_tie_goes_to_earliest_position_in_rows(self):
+        sq = pairwise_sq_dists(np.zeros((5, 2)))
+        assert krum_select(sq, [3, 1, 4], 0) == 3
+
+    def test_neighbour_count_clips_at_zero(self):
+        models = np.array([[0.0], [5.0], [9.0]])
+        assert krum_select(pairwise_sq_dists(models), [2, 1, 0], 4) == 2
 
 
 class TestTrimmedMean:

@@ -165,6 +165,13 @@ class TestAttackKrum:
         result = attack_krum(scope, AttackSpec("krum"), 2, rng)
         assert not result.success
 
+    def test_full_with_too_few_benign_signals_failure(self):
+        # 3 benign candidates leave the shift bound undefined for c = 3 copies
+        rng = RngStream(4, "b").generator()
+        scope = KnowledgeScope("full", rng.standard_normal((6, 3)), np.zeros(3))
+        result = attack_krum(scope, AttackSpec("krum"), 3, rng)
+        assert not result.success and result.crafted_copies == 0
+
     def test_deviation_objective_uses_unit_shift(self):
         rng = RngStream(5, "a").generator()
         scope, c = full_scope(rng)

@@ -1,14 +1,21 @@
+import itertools
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+from flrlab.aggregation import RULES
+from flrlab.defenses import DEFENSE_KINDS
 from flrlab.harness import (
     ConfigError,
     ExperimentConfig,
     config_from_mapping,
     config_to_mapping,
+    poison_schedule,
     run_experiment,
 )
+
+from test_golden import ATTACKS, BASE
 
 OPTIONAL_FIELDS = [f.name for f in fields(ExperimentConfig) if "None" in f.type]
 
@@ -40,10 +47,78 @@ class TestValidateModelCounts:
         with pytest.raises(ConfigError):
             config.validate()
 
+    def test_union_can_leave_k_minus_2c(self):
+        # k-c = 7 survivors suit trimmed mean with beta = 3, but Union can leave k-2c = 4
+        config = replace(BASE, compromised=3, rule="trimmed_mean", defense="union")
+        replace(config, defense="err").validate()
+        with pytest.raises(ConfigError):
+            config.validate()
+
     def test_smallest_valid_sample_runs(self):
         config = ExperimentConfig(rule="krum", devices_per_round=23, iterations=2)
         result = run_experiment(config)
         assert len(result.trial_results[0].records) == 2
+
+
+class TestValidateRejectsMidRunFailures:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(compromised=0, defense="err"),  # the defense would remove c = 0 models
+            dict(assumed_compromised=0, defense="lfr"),
+            dict(validation_size=0),
+            dict(attack="craft", support_radius=0.0),
+            dict(attack="craft", interval_factor=1.0),
+        ],
+    )
+    def test_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            replace(BASE, **fields).validate()
+
+
+def test_grid_configs_are_rejected_or_run_to_the_end():
+    """Every rule x defense x attack x sampling x compromised count on 10 devices
+    either fails validate() or completes; none fails partway through a run."""
+    failures = []
+    for rule, defense, attack, per_round, compromised in itertools.product(
+        RULES, DEFENSE_KINDS, ATTACKS, (None, 6), (3, 4)
+    ):
+        config = replace(
+            BASE, rule=rule, defense=defense, devices_per_round=per_round, compromised=compromised, **ATTACKS[attack]
+        )
+        try:
+            config.validate()
+        except ConfigError:
+            continue
+        try:
+            run_experiment(config)
+        except ValueError as exc:
+            failures.append(f"{rule}/{defense}/{attack}/{per_round}/{compromised}: {exc}")
+    assert failures == []
+
+
+class TestHarnessOptions:
+    def test_best_validation_selects_the_earliest_minimum(self):
+        config = replace(
+            BASE, iterations=8, selection="best_validation", attack="gaussian", synth_spread=1.5, learning_rate=0.02, seed=5
+        )
+        trial = run_experiment(config).trial_results[0]
+        errors = [r.validation_error for r in trial.records]
+        # this seed's minimum is tied over several iterations, none of them the last
+        assert errors.count(min(errors)) > 1 and errors[-1] > min(errors)
+        assert trial.selected_iteration == int(np.argmin(errors))
+        assert trial.final_validation_error == errors[trial.selected_iteration]
+
+    def test_poison_fraction_schedules_that_many_iterations(self):
+        config = replace(BASE, iterations=4, poison_fraction=0.5, attack="gaussian")
+        records = run_experiment(config).trial_results[0].records
+        assert sum(r.attack_active for r in records) == 2
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_poison_schedule_size(self, fraction):
+        schedule = poison_schedule(7, fraction, np.random.default_rng(0))
+        assert len(schedule) == round(fraction * 7)
+        assert schedule <= set(range(7))
 
 
 class TestConfigMapping:
