@@ -113,20 +113,22 @@ def krum(models, assumed_compromised: int) -> tuple[int, np.ndarray]:
     return chosen, np.array(models[chosen], dtype=np.float64)
 
 
+def _window_mean(arr: np.ndarray, trim_count: int) -> np.ndarray:
+    """Per column: sort, drop ``trim_count`` values at each end, average the rest."""
+    return np.sort(arr, axis=0)[trim_count : arr.shape[0] - trim_count].mean(axis=0)
+
+
 def trimmed_mean(models, trim_count: int) -> np.ndarray:
     """Per coordinate: drop the trim_count largest and smallest values, average the rest."""
     arr = as_model_matrix(models)
-    m = arr.shape[0]
-    AggregatorSpec("trimmed_mean", trim_count=trim_count).validate(m)
-    ordered = np.sort(arr, axis=0)
-    kept = ordered[trim_count : m - trim_count]
-    return kept.mean(axis=0)
+    AggregatorSpec("trimmed_mean", trim_count=trim_count).validate(arr.shape[0])
+    return _window_mean(arr, trim_count)
 
 
 def median(models) -> np.ndarray:
-    """Coordinate-wise median; an even count averages the two middle values."""
+    """Coordinate-wise median: the trimmed mean that keeps the middle value (odd m) or two (even m)."""
     arr = as_model_matrix(models)
-    return np.median(arr, axis=0)
+    return _window_mean(arr, (arr.shape[0] - 1) // 2)
 
 
 def bulyan(models, assumed_compromised: int, selection_count: int, average_count: int) -> np.ndarray:
@@ -151,7 +153,7 @@ def bulyan(models, assumed_compromised: int, selection_count: int, average_count
         remaining.remove(selected[-1])
 
     chosen = np.asarray(models, dtype=np.float64)[selected]
-    med = np.median(chosen, axis=0)
+    med = _window_mean(chosen, (selection_count - 1) // 2)
     dist_to_med = np.abs(chosen - med)
     order = np.argsort(dist_to_med, axis=0, kind="stable")[:average_count]
     closest = np.take_along_axis(chosen, order, axis=0)

@@ -59,22 +59,21 @@ class DefenseOutcome:
 
 
 def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
-    """Yield (index, aggregate-without-index) for every device.
+    """Yield the aggregate of all m models, then the aggregate without each model in turn.
 
-    Krum gets a fast path that reuses one pairwise distance matrix; the
-    selection is identical to rerunning the rule on each m-1 subset.
+    Krum builds one pairwise distance matrix and selects within each row
+    subset; the selection is identical to rerunning the rule on the subset.
     """
     m = models.shape[0]
+    subsets = [np.arange(m)] + [np.flatnonzero(np.arange(m) != i) for i in range(m)]
     if agg_spec.rule == "krum":
         agg_spec.validate(m - 1)
         sq = pairwise_sq_dists(models)
-        for i in range(m):
-            keep = np.flatnonzero(np.arange(m) != i)
-            yield i, models[krum_select(sq, keep, agg_spec.assumed_compromised)]
+        for rows in subsets:
+            yield models[krum_select(sq, rows, agg_spec.assumed_compromised)]
     else:
-        for i in range(m):
-            subset = np.delete(models, i, axis=0)
-            yield i, aggregate(agg_spec, subset)
+        for rows in subsets:
+            yield aggregate(agg_spec, models[rows])
 
 
 def impact_scores(
@@ -84,19 +83,16 @@ def impact_scores(
     validation: Dataset,
 ) -> list[ImpactRecord]:
     """Error-rate and loss impact of each local model on the validation set."""
-    with_all = aggregate(agg_spec, models)  # checks the matrix
     arr = np.asarray(models, dtype=np.float64)
-    if arr.shape[0] < 2:
+    if len(arr) < 2:
         raise ValueError("leave-one-out impacts need at least two models")
     val_objective = shard_objective(model_spec, validation)
-    err_all = error_rate(model_spec, with_all, validation)
-    loss_all = loss(val_objective, with_all)
-    records = []
-    for i, without in _loo_aggregates(arr, agg_spec):
-        err_w = error_rate(model_spec, without, validation)
-        loss_w = loss(val_objective, without)
-        records.append(ImpactRecord(i, err_all - err_w, loss_all - loss_w))
-    return records
+    scores = [
+        (error_rate(model_spec, w, validation), loss(val_objective, w))
+        for w in _loo_aggregates(arr, agg_spec)  # checks the matrix
+    ]
+    err_all, loss_all = scores[0]
+    return [ImpactRecord(i, err_all - err_w, loss_all - loss_w) for i, (err_w, loss_w) in enumerate(scores[1:])]
 
 
 def _largest_impacts(records: list[ImpactRecord], key, count: int) -> tuple[int, ...]:

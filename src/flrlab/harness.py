@@ -130,18 +130,30 @@ class ExperimentConfig:
             raise ConfigError("need at least one trial")
         if self.validation_size < 1:
             raise ConfigError("validation size must be positive")
+        if not 0 < self.label_bias <= 1:
+            raise ConfigError("label bias must lie in (0, 1]")
+        if self.model == "mlp" and self.hidden < 1:
+            raise ConfigError("the mlp needs a positive hidden width")
+        if self.dataset == "synth" and (self.synth_classes < 2 or self.num_devices % self.synth_classes):
+            raise ConfigError(f"synth data needs at least 2 classes that divide the {self.num_devices} devices")
         if self.attack == "craft":
             try:
-                self.attack_spec()
+                attack = self.attack_spec()
             except ValueError as exc:
                 raise ConfigError(f"bad attack parameters: {exc}") from exc
+            coordinate_wise = attack.target_rule not in ("krum", "bulyan")
+            if self.knowledge == "partial" and attack.objective == "deviation" and coordinate_wise:
+                raise ConfigError("the deviation objective is defined for full knowledge only")
+            # full knowledge needs a benign model in every sample; a trimmed-mean target trims p per side
+            p = min(self.compromised, k)
+            if self.knowledge == "full" and (p >= k or attack.target_rule == "trimmed_mean" and 2 * p >= k):
+                raise ConfigError(f"full knowledge vs {attack.target_rule}: {p} of {k} sampled can be compromised")
         c = self.resolved_assumed()
         if self.defense != "none" and c < 1:
             raise ConfigError(f"the {self.defense} defense removes c models; c must be positive")
         # Model counts the rule must aggregate: k always; with a defense on, also k-1
         # (leave-one-out) and k-c (survivors), plus k-2c for Union, which can remove up
-        # to 2c.  Left to set-up, which raises ValueError before iteration 0: label_bias
-        # and the MLP's hidden width.
+        # to 2c.  Set-up checks only what depends on the data: IDX/CSV class counts, empty shards.
         counts = [k]
         if self.defense != "none":
             counts += [k - 1, k - c] + ([k - 2 * c] if self.defense == "union" else [])

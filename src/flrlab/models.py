@@ -1,7 +1,10 @@
 """Trainable classifiers: multi-class logistic regression and a one-hidden-layer MLP.
 
-Both models keep all parameters (weights and biases) in a single flat
-float64 vector so that per-coordinate aggregation rules apply directly.
+Both are stacks of dense layers (``ModelSpec.layers``) with ReLU between
+them: one q -> L layer for LR, q -> h -> L for the MLP.  All parameters live
+in a single flat float64 vector so that per-coordinate aggregation rules
+apply directly; layer by layer, input to output, it holds the row-major
+(fan-in, fan-out) weight matrix followed by the bias: [W1, b1, W2, b2].
 """
 
 from __future__ import annotations
@@ -35,11 +38,16 @@ class ModelSpec:
             raise ValueError("need num_features >= 1 and num_classes >= 2")
 
     @property
-    def dim(self) -> int:
-        q, L, h = self.num_features, self.num_classes, self.hidden
+    def layers(self) -> tuple[tuple[int, int], ...]:
+        """(fan-in, fan-out) of each dense layer, input to output."""
+        q, L = self.num_features, self.num_classes
         if self.kind == "lr":
-            return (q + 1) * L
-        return (q + 1) * h + (h + 1) * L
+            return ((q, L),)
+        return ((q, self.hidden), (self.hidden, L))
+
+    @property
+    def dim(self) -> int:
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layers)
 
 
 @dataclass(frozen=True)
@@ -70,38 +78,25 @@ def shard_objective(spec: ModelSpec, dataset: Dataset, indices=None) -> Objectiv
     return Objective(spec, dataset.features[idx], dataset.labels[idx])
 
 
-def _unpack_lr(spec: ModelSpec, params: np.ndarray):
-    q, L = spec.num_features, spec.num_classes
-    w = params[: q * L].reshape(q, L)
-    b = params[q * L :]
-    return w, b
+def _unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weights, bias) views into the flat parameter vector."""
+    layers, i = [], 0
+    for fan_in, fan_out in spec.layers:
+        j = i + fan_in * fan_out
+        layers.append((params[i:j].reshape(fan_in, fan_out), params[j : j + fan_out]))
+        i = j + fan_out
+    return layers
 
 
-def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
-    q, L, h = spec.num_features, spec.num_classes, spec.hidden
-    i = 0
-    w1 = params[i : i + q * h].reshape(q, h); i += q * h
-    b1 = params[i : i + h]; i += h
-    w2 = params[i : i + h * L].reshape(h, L); i += h * L
-    b2 = params[i : i + L]
-    return w1, b1, w2, b2
-
-
-def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Returns (logits, hidden pre-activation or None, hidden activation or None)."""
-    if spec.kind == "lr":
-        w, b = _unpack_lr(spec, params)
-        return x @ w + b, None, None
-    w1, b1, w2, b2 = _unpack_mlp(spec, params)
-    z1 = x @ w1 + b1
-    a1 = np.maximum(z1, 0.0)
-    return a1 @ w2 + b2, z1, a1
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _forward(layers, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Returns (the input of every layer, x first; the softmax class probabilities)."""
+    inputs = [x]
+    for w, b in layers[:-1]:
+        inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
+    w, b = layers[-1]
+    logits = inputs[-1] @ w + b
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return inputs, e / e.sum(axis=1, keepdims=True)
 
 
 def predict_proba(spec: ModelSpec, params, features) -> np.ndarray:
@@ -113,7 +108,7 @@ def predict_proba(spec: ModelSpec, params, features) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != spec.num_features:
         raise ValueError("feature width does not match the model spec")
-    probs = _softmax(_logits(spec, p, x)[0])
+    probs = _forward(_unpack(spec, p), x)[1]
     return probs[0] if single else probs
 
 
@@ -122,7 +117,7 @@ def loss(objective: Objective, params) -> float:
     if objective.size == 0:
         raise ValueError("cannot evaluate loss on an empty shard")
     p = as_vector(params, dim=objective.spec.dim)
-    probs = _softmax(_logits(objective.spec, p, objective.features)[0])
+    probs = _forward(_unpack(objective.spec, p), objective.features)[1]
     picked = probs[np.arange(objective.size), objective.labels]
     return float(-np.mean(np.log(np.clip(picked, PROB_FLOOR, 1.0))))
 
@@ -138,23 +133,16 @@ def gradient(objective: Objective, params, batch_indices=None) -> np.ndarray:
             raise ValueError("empty batch")
         x, y = objective.features[idx], objective.labels[idx]
     n = len(y)
-    spec = objective.spec
-    logits, z1, a1 = _logits(spec, p, x)
-    dlogits = _softmax(logits)
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-    if spec.kind == "lr":
-        gw = x.T @ dlogits
-        gb = dlogits.sum(axis=0)
-        return np.concatenate([gw.ravel(), gb])
-    _, _, w2, _ = _unpack_mlp(spec, p)
-    gw2 = a1.T @ dlogits
-    gb2 = dlogits.sum(axis=0)
-    da1 = dlogits @ w2.T
-    dz1 = da1 * (z1 > 0)
-    gw1 = x.T @ dz1
-    gb1 = dz1.sum(axis=0)
-    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+    layers = _unpack(objective.spec, p)
+    inputs, delta = _forward(layers, x)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n  # d loss / d logits; the loop carries it back through each layer
+    grads = []
+    for k in reversed(range(len(layers))):
+        grads[:0] = [(inputs[k].T @ delta).ravel(), delta.sum(axis=0)]
+        if k:
+            delta = (delta @ layers[k][0].T) * (inputs[k] > 0)
+    return np.concatenate(grads)
 
 
 def local_update(
@@ -195,7 +183,7 @@ def init_params(spec: ModelSpec, rng: np.random.Generator | None = None) -> np.n
         return np.zeros(spec.dim)
     if rng is None:
         raise ValueError("mlp initialisation needs a generator")
-    q, L, h = spec.num_features, spec.num_classes, spec.hidden
-    w1 = rng.standard_normal((q, h)) * np.sqrt(2.0 / q)
-    w2 = rng.standard_normal((h, L)) * np.sqrt(2.0 / h)
-    return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(L)])
+    parts = []
+    for fan_in, fan_out in spec.layers:
+        parts += [(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)).ravel(), np.zeros(fan_out)]
+    return np.concatenate(parts)

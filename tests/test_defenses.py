@@ -57,23 +57,31 @@ class TestImpactScores:
             assert r.error_impact == pytest.approx(expect_err, abs=1e-12)
             assert r.loss_impact == pytest.approx(expect_loss, abs=1e-12)
 
-    def test_krum_fast_path_matches_rule_rerun(self, validation, model_spec):
-        from flrlab.aggregation import krum
+    def test_krum_fast_path_matches_rule_rerun(self, validation, model_spec, monkeypatch):
+        from flrlab import aggregation, defenses
+        from flrlab.aggregation import aggregate, krum
 
         rng = RngStream(7, "d").generator()
         models = rng.standard_normal((8, model_spec.dim))
         spec = AggregatorSpec("krum", assumed_compromised=2)
-        records = impact_scores(models, spec, model_spec, validation)
-        obj = shard_objective(model_spec, validation)
-        from flrlab.aggregation import aggregate
+        original, calls = aggregation.pairwise_sq_dists, []
 
+        def counted(arr):
+            calls.append(len(arr))
+            return original(arr)
+
+        monkeypatch.setattr(aggregation, "pairwise_sq_dists", counted)
+        monkeypatch.setattr(defenses, "pairwise_sq_dists", counted)
+        records = impact_scores(models, spec, model_spec, validation)
+        assert calls == [8]  # one distance matrix serves the full aggregate and every subset
+        monkeypatch.undo()
+
+        obj = shard_objective(model_spec, validation)
         full = aggregate(spec, models)
         for i, r in enumerate(records):
             _, without = krum(np.delete(models, i, axis=0), 2)
-            assert r.error_impact == pytest.approx(
-                error_rate(model_spec, full, validation) - error_rate(model_spec, without, validation), abs=1e-12
-            )
-            assert r.loss_impact == pytest.approx(loss(obj, full) - loss(obj, without), abs=1e-12)
+            assert r.error_impact == error_rate(model_spec, full, validation) - error_rate(model_spec, without, validation)
+            assert r.loss_impact == loss(obj, full) - loss(obj, without)
 
     def test_permutation_equivariant(self, validation, model_spec):
         rng = RngStream(8, "d").generator()

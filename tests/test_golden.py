@@ -1,9 +1,11 @@
 """Golden metrics CSVs: a small seeded grid must reproduce its recorded bytes.
 
 The grid crosses every aggregation rule with every defense and five attack
-settings on a 10-device federation.  ``golden_metrics.json`` holds the
-``metrics_csv_lines`` text of each config that runs; Bulyan under a defense
-cannot run at this size and is rejected by ``ExperimentConfig.validate``.
+settings on a 10-device federation with logistic regression, plus every rule
+with no attack and the full-knowledge crafted attack on a 4-unit MLP (keys
+prefixed ``mlp/``).  ``golden_metrics.json`` holds the ``metrics_csv_lines``
+text of each config that runs; Bulyan under a defense cannot run at this size
+and is rejected by ``ExperimentConfig.validate``.
 
 Re-record (only when a behaviour change is intended) with::
 
@@ -47,6 +49,13 @@ GRID = {
     for defense in DEFENSE_KINDS
     for attack, fields in ATTACKS.items()
 }
+GRID.update(
+    {
+        f"mlp/{rule}/none/{attack}": replace(BASE, model="mlp", hidden=4, rule=rule, **ATTACKS[attack])
+        for rule in RULES
+        for attack in ("none", "craft-full")
+    }
+)
 
 
 def csv_text(config: ExperimentConfig) -> str:
@@ -64,7 +73,7 @@ def test_metrics_csv_is_byte_identical(name):
 
 
 def test_grid_configs_without_golden_are_rejected_before_iteration_zero():
-    assert len(GOLDEN_CSV) == 85
+    assert len(GOLDEN_CSV) == 95
     skipped = sorted(set(GRID) - set(GOLDEN_CSV))
     assert skipped == sorted(
         f"bulyan/{defense}/{attack}" for defense in DEFENSE_KINDS if defense != "none" for attack in ATTACKS

@@ -35,7 +35,7 @@ class TestValidateModelCounts:
     @pytest.mark.parametrize("defense", ["err", "lfr", "union"])
     def test_leave_one_out_count_too_small(self, defense):
         # krum needs c+3 = 5 models; the 5 sampled pass, their 4-model LOO subsets do not
-        config = ExperimentConfig(num_devices=5, compromised=2, rule="krum", defense=defense)
+        config = ExperimentConfig(num_devices=5, compromised=2, synth_classes=5, rule="krum", defense=defense)
         replace(config, defense="none").validate()
         with pytest.raises(ConfigError):
             config.validate()
@@ -69,6 +69,18 @@ class TestValidateRejectsMidRunFailures:
             dict(validation_size=0),
             dict(attack="craft", support_radius=0.0),
             dict(attack="craft", interval_factor=1.0),
+            # a sample of 3 can hold only compromised devices
+            dict(attack="craft", devices_per_round=3, compromised=4),
+            # a sample of 6 can hold 4 compromised devices, too many for the attacker's trimmed mean
+            dict(rule="trimmed_mean", trim_count=1, attack="craft", devices_per_round=6, compromised=4),
+            dict(rule="median", attack="craft", attack_rule="trimmed_mean", devices_per_round=6, compromised=4),
+            dict(rule="mean", attack="craft", knowledge="partial", objective="deviation"),
+            dict(rule="median", attack="craft", knowledge="partial", objective="deviation"),
+            dict(rule="trimmed_mean", attack="craft", knowledge="partial", objective="deviation"),
+            dict(label_bias=0.0),
+            dict(label_bias=1.5),
+            dict(model="mlp", hidden=0),
+            dict(synth_classes=3),  # 10 devices
         ],
     )
     def test_rejected(self, fields):
