@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flrlab.aggregation import AggregatorSpec, aggregate, krum, neighbor_score_sums, pairwise_sq_dists
+from flrlab.aggregation import RULES, AggregatorSpec, aggregate, krum, neighbor_score_sums, pairwise_sq_dists
 from flrlab.core import as_model_matrix, as_vector, signed_direction
 from flrlab.data import Dataset
 
 KNOWLEDGE_MODES = ("full", "partial")
 OBJECTIVES = ("directed_deviation", "deviation")
-CRAFT_TARGETS = ("krum", "bulyan", "trimmed_mean", "median", "mean")
+# targets crafted against with attack_krum; every other rule is coordinate-wise (attack_trimmed_mean)
+KRUM_TARGETS = ("krum", "bulyan")
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class AttackSpec:
     shift_floor: float = 1e-5
 
     def __post_init__(self):
-        if self.target_rule not in CRAFT_TARGETS:
+        if self.target_rule not in RULES:
             raise ValueError(f"unknown attack target {self.target_rule!r}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown attack objective {self.objective!r}")
@@ -146,13 +147,8 @@ def sample_in_ball(center: np.ndarray, radius: float, rng: np.random.Generator) 
     """Uniform sample from the Euclidean ball around ``center``."""
     dim = center.shape[0]
     direction = rng.standard_normal(dim)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        direction = np.zeros(dim)
-        direction[0] = 1.0
-        norm = 1.0
     r = radius * rng.random() ** (1.0 / dim)
-    return center + (r / norm) * direction
+    return center + (r / np.linalg.norm(direction)) * direction
 
 
 def _binary_search_shift(
@@ -201,7 +197,7 @@ def attack_krum(
     solution.  The emitted set is the crafted model plus c-1 samples inside
     the support-radius ball around it.
     """
-    if spec.target_rule not in ("krum", "bulyan"):
+    if spec.target_rule not in KRUM_TARGETS:
         raise ValueError("attack_krum targets the krum or bulyan rule")
     c = compromised_count
     _check_scope(scope, c)
@@ -239,21 +235,6 @@ def coordinate_stats(models) -> CoordinateStats:
     return CoordinateStats(mean=arr.mean(axis=0), std=arr.std(axis=0))
 
 
-def _extreme_intervals(extremes: np.ndarray, factor: float, above: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Sampling interval just beyond the benign extreme on one side.
-
-    ``above=True`` builds [max, factor*max] / [max, max/factor] depending on
-    the sign of the extreme; ``above=False`` mirrors below the minimum.
-    """
-    if above:
-        lo = extremes
-        hi = np.where(extremes > 0, factor * extremes, extremes / factor)
-    else:
-        hi = extremes
-        lo = np.where(extremes > 0, extremes / factor, factor * extremes)
-    return lo, hi
-
-
 def attack_trimmed_mean(
     scope: KnowledgeScope,
     spec: AttackSpec,
@@ -270,7 +251,7 @@ def attack_trimmed_mean(
     objective the side is chosen per coordinate by whichever interval
     midpoint displaces the simulated aggregate further.
     """
-    if spec.target_rule not in ("trimmed_mean", "median", "mean"):
+    if spec.target_rule in KRUM_TARGETS:
         raise ValueError("attack_trimmed_mean targets a coordinate-wise rule")
     c = compromised_count
     _check_scope(scope, c)
@@ -285,8 +266,9 @@ def attack_trimmed_mean(
         hi = np.where(s < 0, stats.mean + 4.0 * stats.std, stats.mean - 3.0 * stats.std)
     else:
         benign = scope.models[c:]
-        above_lo, above_hi = _extreme_intervals(benign.max(axis=0), spec.interval_factor, above=True)
-        below_lo, below_hi = _extreme_intervals(benign.min(axis=0), spec.interval_factor, above=False)
+        # [max, factor*max] or [max, max/factor], whichever lies beyond the benign maximum; mirrored below the minimum
+        above_lo, below_hi, f = benign.max(axis=0), benign.min(axis=0), spec.interval_factor
+        above_hi, below_lo = np.maximum(f * above_lo, above_lo / f), np.minimum(f * below_hi, below_hi / f)
         if spec.objective == "directed_deviation":
             s = as_vector(direction, dim=dim)
             go_above = s < 0

@@ -1,18 +1,22 @@
 """Command-line front end: single runs, parameter sweeps, and the defense matrix.
 
 Config files are flat ``key = value`` text mirroring ExperimentConfig field
-names; ``--set key=value`` flags override file values.  Outputs are one
-metrics CSV per trial plus a summary CSV, with stable columns.
+names; ``--set key=value`` flags override file values.  ``sweep`` varies any
+one field.  Outputs are one metrics CSV per trial plus a summary CSV, with
+stable columns.  Each command validates all of its configs before the first
+run, so a rejected config exits with status 2 having run and written nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from flrlab.harness import (
+    CHOICES,
     ConfigError,
     ExperimentConfig,
     config_from_mapping,
@@ -22,20 +26,6 @@ from flrlab.harness import (
     write_summary_csv,
     write_trial_csv,
 )
-
-SWEEPABLE = (
-    "compromised",
-    "label_bias",
-    "trim_count",
-    "support_radius",
-    "local_rounds",
-    "devices_per_round",
-    "poison_fraction",
-    "learning_rate",
-    "num_devices",
-    "iterations",
-)
-
 
 def parse_config_file(path) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment, blank lines ignored."""
@@ -85,24 +75,40 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _run_matrix(rows, out_dir: Path, table: str, key_header: str) -> list[float]:
+    """Validate every (tag, key, config) row, then run each in order.
+
+    Each run writes its CSVs under the ``tag`` prefix; ``table`` gets one
+    ``key,mean_final_test_error`` line per row.  Returns the errors in row order.
+    """
+    for _, _, config in rows:
+        config.validate()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lines, errors = [f"{key_header},mean_final_test_error"], []
+    for tag, key, config in rows:
+        error = _run_and_write(config, out_dir, tag)
+        print(f"{tag}: mean final test error {format_float(error)}")
+        lines.append(f"{key},{format_float(error)}")
+        errors.append(error)
+    (out_dir / table).write_text("\n".join(lines) + "\n")
+    return errors
+
+
+def _split(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def cmd_sweep(args) -> int:
     base = _load_config(args)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    values = _split(args.values)
     if not values:
         raise ConfigError("sweep needs at least one value")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for value in values:
-        config = config_from_mapping({args.param: value}, base=base)
-        error = _run_and_write(config, out_dir, tag=f"{args.param}_{value}")
-        rows.append((value, error))
-        print(f"sweep {args.param}={value}: mean final test error {format_float(error)}")
-    with open(out_dir / "sweep.csv", "w") as fh:
-        fh.write(f"{args.param},mean_final_test_error\n")
-        for value, error in rows:
-            fh.write(f"{value},{format_float(error)}\n")
-    errors = [e for _, e in rows]
+        if os.sep in value or (os.altsep and os.altsep in value):
+            raise ConfigError(f"sweep value {value!r} names an output file and must not hold a path separator")
+        rows.append((f"{args.param}_{value}", value, config_from_mapping({args.param: value}, base=base)))
+    errors = _run_matrix(rows, Path(args.out), "sweep.csv", args.param)
     trend = "non-decreasing" if all(b >= a - 1e-12 for a, b in zip(errors, errors[1:])) else "not monotone"
     print(f"sweep over {args.param}: error trend {trend}")
     return 0
@@ -110,25 +116,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_defend(args) -> int:
     base = _load_config(args)
-    assumed_rules = [r.strip() for r in args.assumed.split(",") if r.strip()]
-    actual_rules = [r.strip() for r in args.actual.split(",") if r.strip()]
-    defenses = [d.strip() for d in args.defenses.split(",") if d.strip()]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["actual_rule,defense,attacker_assumed_rule,mean_final_test_error"]
-    for rule in actual_rules:
-        for defense in defenses:
+    assumed_rules = _split(args.assumed)
+    rows = []
+    for rule in _split(args.actual):
+        for defense in _split(args.defenses):
             row_base = replace(base, rule=rule, defense=defense)
-            no_attack = replace(row_base, attack="none")
-            error = _run_and_write(no_attack, out_dir, tag=f"{rule}_{defense}_noattack")
-            lines.append(f"{rule},{defense},none,{format_float(error)}")
-            print(f"defend {rule}+{defense} vs none: {format_float(error)}")
+            rows.append((f"{rule}_{defense}_noattack", f"{rule},{defense},none", replace(row_base, attack="none")))
             for assumed in assumed_rules:
                 attacked = replace(row_base, attack="craft", attack_rule=assumed, knowledge=args.knowledge)
-                error = _run_and_write(attacked, out_dir, tag=f"{rule}_{defense}_{assumed}")
-                lines.append(f"{rule},{defense},{assumed},{format_float(error)}")
-                print(f"defend {rule}+{defense} vs {assumed} attack: {format_float(error)}")
-    (out_dir / "defend.csv").write_text("\n".join(lines) + "\n")
+                rows.append((f"{rule}_{defense}_{assumed}", f"{rule},{defense},{assumed}", attacked))
+    _run_matrix(rows, Path(args.out), "defend.csv", "actual_rule,defense,attacker_assumed_rule")
     return 0
 
 
@@ -148,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid over one config parameter")
     common(p_sweep, seed_required=False)
-    p_sweep.add_argument("--param", required=True, choices=SWEEPABLE)
+    p_sweep.add_argument("--param", required=True, metavar="FIELD", help="any config field")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -157,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_defend.add_argument("--assumed", default="krum,trimmed_mean", help="attacker's assumed rules")
     p_defend.add_argument("--actual", default="krum,trimmed_mean,median", help="actual aggregation rules")
     p_defend.add_argument("--defenses", default="none,err,lfr,union", help="defense filters to row")
-    p_defend.add_argument("--knowledge", default="partial", choices=("full", "partial"))
+    p_defend.add_argument("--knowledge", default="partial", choices=CHOICES["knowledge"])
     p_defend.set_defaults(func=cmd_defend)
     return parser
 
@@ -166,7 +163,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
 from flrlab.aggregation import RULES, AggregatorSpec, aggregate, mean, median, trimmed_mean
 from flrlab.attacks import (
     KNOWLEDGE_MODES,
+    KRUM_TARGETS,
     AttackSpec,
     KnowledgeScope,
     attack_gaussian,
@@ -34,9 +35,16 @@ from flrlab.data import Dataset, load_csv, load_idx, partition_noniid, synth_blo
 from flrlab.defenses import DEFENSE_KINDS, DefenseOutcome, DefenseSpec, apply_defense
 from flrlab.models import MODEL_KINDS, ModelSpec, error_rate, init_params, local_update, loss, shard_objective
 
-ATTACK_KINDS = ("none", "gaussian", "label_flip", "craft")
-SELECTION_STRATEGIES = ("last", "best_validation")
-DATASET_KINDS = ("synth", "idx", "csv")
+# the allowed values of each ExperimentConfig field that names a choice
+CHOICES = {
+    "rule": RULES,
+    "attack": ("none", "gaussian", "label_flip", "craft"),
+    "knowledge": KNOWLEDGE_MODES,
+    "defense": DEFENSE_KINDS,
+    "selection": ("last", "best_validation"),
+    "dataset": ("synth", "idx", "csv"),
+    "model": MODEL_KINDS,
+}
 
 
 class ConfigError(ValueError):
@@ -112,20 +120,9 @@ class ExperimentConfig:
             raise ConfigError("devices per round out of range")
         if not 0 <= self.poison_fraction <= 1:
             raise ConfigError("poison fraction must lie in [0, 1]")
-        if self.rule not in RULES:
-            raise ConfigError(f"unknown aggregation rule {self.rule!r}")
-        if self.attack not in ATTACK_KINDS:
-            raise ConfigError(f"unknown attack {self.attack!r}")
-        if self.knowledge not in KNOWLEDGE_MODES:
-            raise ConfigError(f"unknown knowledge mode {self.knowledge!r}")
-        if self.defense not in DEFENSE_KINDS:
-            raise ConfigError(f"unknown defense {self.defense!r}")
-        if self.selection not in SELECTION_STRATEGIES:
-            raise ConfigError(f"unknown selection strategy {self.selection!r}")
-        if self.dataset not in DATASET_KINDS:
-            raise ConfigError(f"unknown dataset kind {self.dataset!r}")
-        if self.model not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {self.model!r}")
+        for name, allowed in CHOICES.items():
+            if (value := getattr(self, name)) not in allowed:
+                raise ConfigError(f"unknown {name} {value!r}; choose one of {', '.join(allowed)}")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
         if self.validation_size < 1:
@@ -134,14 +131,15 @@ class ExperimentConfig:
             raise ConfigError("label bias must lie in (0, 1]")
         if self.model == "mlp" and self.hidden < 1:
             raise ConfigError("the mlp needs a positive hidden width")
-        if self.dataset == "synth" and (self.synth_classes < 2 or self.num_devices % self.synth_classes):
-            raise ConfigError(f"synth data needs at least 2 classes that divide the {self.num_devices} devices")
+        classes = {"synth": self.synth_classes, "csv": self.csv_classes}.get(self.dataset)
+        if classes is not None and (classes < 2 or self.num_devices % classes):
+            raise ConfigError(f"{self.dataset} data needs at least 2 classes that divide the {self.num_devices} devices")
         if self.attack == "craft":
             try:
                 attack = self.attack_spec()
             except ValueError as exc:
                 raise ConfigError(f"bad attack parameters: {exc}") from exc
-            coordinate_wise = attack.target_rule not in ("krum", "bulyan")
+            coordinate_wise = attack.target_rule not in KRUM_TARGETS
             if self.knowledge == "partial" and attack.objective == "deviation" and coordinate_wise:
                 raise ConfigError("the deviation objective is defined for full knowledge only")
             # full knowledge needs a benign model in every sample; a trimmed-mean target trims p per side
@@ -153,7 +151,7 @@ class ExperimentConfig:
             raise ConfigError(f"the {self.defense} defense removes c models; c must be positive")
         # Model counts the rule must aggregate: k always; with a defense on, also k-1
         # (leave-one-out) and k-c (survivors), plus k-2c for Union, which can remove up
-        # to 2c.  Set-up checks only what depends on the data: IDX/CSV class counts, empty shards.
+        # to 2c.  Set-up checks only what depends on the data: IDX class counts, empty shards.
         counts = [k]
         if self.defense != "none":
             counts += [k - 1, k - c] + ([k - 2 * c] if self.defense == "union" else [])
@@ -280,7 +278,7 @@ def _craft_models(
     else:
         scope = KnowledgeScope("partial", models[:present], w_received)
 
-    if spec.target_rule in ("krum", "bulyan"):
+    if spec.target_rule in KRUM_TARGETS:
         result = attack_krum(scope, spec, present, rng)
         return result.models, result.shift
 
@@ -518,12 +516,7 @@ def config_to_mapping(config: ExperimentConfig) -> dict[str, str]:
     out = {}
     for f in fields(config):
         value = getattr(config, f.name)
-        if value is None:
-            out[f.name] = "none"
-        elif isinstance(value, float):
-            out[f.name] = repr(value)
-        else:
-            out[f.name] = str(value)
+        out[f.name] = "none" if value is None else str(value)
     return out
 
 
@@ -532,21 +525,16 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _coerce(name: str, raw: str):
-    declared = _FIELD_TYPES[name]
+    """``raw`` as the field's type: int, float or str, or None for an optional field."""
+    types = get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)
     text = raw.strip()
-    optional = "None" in declared
-    if optional and text.lower() in ("none", ""):
+    if type(None) in types and text.lower() in ("none", ""):
         return None
-    base = declared.replace(" | None", "")
-    if base == "int":
-        return int(text)
-    if base == "float":
-        return float(text)
-    return text
+    return types[0](text)
 
 
 def config_from_mapping(mapping: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flrlab.aggregation import (
+    _DIRECT_PAIRWISE_LIMIT,
     AggregatorSpec,
     aggregate,
     bulyan,
@@ -22,6 +23,7 @@ from oracles import (
     oracle_mean,
     oracle_median,
     oracle_trimmed_mean,
+    sq_dist,
 )
 
 
@@ -255,15 +257,40 @@ class TestOracleEquivalence:
                 assert scores[perm[idx_b]] == scores[idx_a] == scores.min()
 
 
+def gram_sized_models(rng) -> np.ndarray:
+    """64 x 4097 models: m*m*d just over the limit above which pairwise_sq_dists uses the Gram path."""
+    m, d = 64, 4097
+    assert (m - 1) * (m - 1) * d <= _DIRECT_PAIRWISE_LIMIT < m * m * d
+    return rng.standard_normal((m, d))
+
+
 class TestPairwiseDistances:
     def test_direct_and_gram_paths_agree(self):
         rng = RngStream(7, "pw").generator()
-        models = rng.standard_normal((40, 3000))  # large enough for the Gram path
+        models = gram_sized_models(rng)
         gram = pairwise_sq_dists(models)
         direct = np.array([np.sum((models - row) ** 2, axis=1) for row in models])
         assert np.allclose(gram, direct, rtol=1e-9, atol=1e-9)
         assert np.all(gram >= 0)
         assert np.allclose(np.diag(gram), 0.0)
+
+    def test_gram_path_and_krum_match_the_oracle(self):
+        models = gram_sized_models(RngStream(8, "pw").generator())
+        # a duplicated pair far from the rest: its Gram distance cancels to about 0 and must not go negative
+        models[5] = models[3] = models[3] + 10.0
+        gram = pairwise_sq_dists(models)
+        rows = models.tolist()
+        expected = np.zeros(gram.shape)
+        for i, j in zip(*np.triu_indices(len(rows), 1)):
+            expected[i, j] = expected[j, i] = sq_dist(rows[i], rows[j])
+        assert np.array_equal(gram, gram.T)
+        assert np.all(np.diag(gram) == 0.0)
+        assert gram[3, 5] >= 0.0
+        assert np.allclose(gram, expected, rtol=1e-9, atol=1e-9 * expected.max())
+        chosen, selected = krum(models, 6)
+        best, oracle_selected = oracle_krum(rows, 6)
+        assert chosen == best
+        assert selected.tolist() == oracle_selected
 
 
 class TestAggregateDispatch:

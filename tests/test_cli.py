@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from flrlab.cli import main
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_metrics.json").read_text())
@@ -43,6 +45,16 @@ def test_sweep_writes_one_run_per_value(tmp_path):
     assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
 
 
+def test_sweep_takes_any_field(tmp_path):
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", small_config(tmp_path), "--param", "rule", "--values", "mean,median", "--out", str(out)]
+    assert main(args) == 0
+    for rule in ("mean", "median"):
+        assert (out / f"rule_{rule}_trial_00.csv").read_text() == GOLDEN[f"{rule}/none/none"]
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["rule", "mean", "median"]
+
+
 def test_defend_writes_the_matrix(tmp_path):
     out = tmp_path / "defend"
     args = ["defend", "--config", small_config(tmp_path), "--assumed", "trimmed_mean", "--actual", "median",
@@ -65,4 +77,24 @@ def test_rejected_config_exits_2(tmp_path, capsys):
             "--out", str(out)]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # bulyan cannot aggregate the 9-model leave-one-out sets of ERR; six median and bulyan runs come first
+        ["defend", "--actual", "median,bulyan", "--defenses", "none,err", "--assumed", "trimmed_mean", "--knowledge", "full"],
+        # 5 of 10 devices is not fewer than half; the run with 1 comes first
+        ["sweep", "--param", "compromised", "--values", "1,5"],
+        ["sweep", "--param", "csv_path", "--values", "data.csv,data/train.csv"],
+        ["sweep", "--param", "rounds", "--values", "1"],
+    ],
+)
+def test_rejected_matrix_runs_nothing(tmp_path, capsys, args):
+    out = tmp_path / "bad"
+    assert main([*args, "--config", small_config(tmp_path), "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith("error:")
+    assert printed.out == ""
     assert not out.exists()

@@ -4,17 +4,22 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from flrlab import harness
 from flrlab.aggregation import RULES
+from flrlab.data import save_csv, synth_blobs
 from flrlab.defenses import DEFENSE_KINDS
 from flrlab.harness import (
     ConfigError,
     ExperimentConfig,
+    build_datasets,
     config_from_mapping,
     config_to_mapping,
+    metrics_csv_lines,
     poison_schedule,
     run_experiment,
 )
 
+from test_data import write_idx_pair
 from test_golden import ATTACKS, BASE
 
 OPTIONAL_FIELDS = [f.name for f in fields(ExperimentConfig) if "None" in f.type]
@@ -81,6 +86,8 @@ class TestValidateRejectsMidRunFailures:
             dict(label_bias=1.5),
             dict(model="mlp", hidden=0),
             dict(synth_classes=3),  # 10 devices
+            dict(dataset="csv", csv_classes=3),
+            dict(dataset="csv", csv_classes=1),
         ],
     )
     def test_rejected(self, fields):
@@ -131,6 +138,67 @@ class TestHarnessOptions:
         schedule = poison_schedule(7, fraction, np.random.default_rng(0))
         assert len(schedule) == round(fraction * 7)
         assert schedule <= set(range(7))
+
+
+class TestFileDatasets:
+    """The IDX and CSV sources, which the golden grid (synthetic data) never reads."""
+
+    @staticmethod
+    def config(tmp_path, dataset):
+        rng = np.random.default_rng(0)
+        if dataset == "csv":
+            save_csv(synth_blobs(2, 75, 8, 0.3, rng), tmp_path / "data.csv")
+            return replace(BASE, iterations=2, dataset="csv", csv_path=str(tmp_path / "data.csv"))
+        images = rng.integers(0, 256, size=(140, 3, 3), dtype=np.uint8)
+        labels = np.arange(140) % 2
+        train_images, train_labels = write_idx_pair(tmp_path, images[:100], labels[:100], prefix="train_")
+        test_images, test_labels = write_idx_pair(tmp_path, images[100:], labels[100:], prefix="test_")
+        return replace(
+            BASE,
+            iterations=2,
+            dataset="idx",
+            idx_train_images=str(train_images),
+            idx_train_labels=str(train_labels),
+            idx_test_images=str(test_images),
+            idx_test_labels=str(test_labels),
+        )
+
+    @pytest.mark.parametrize(
+        "dataset, train_size, test_size",
+        [("idx", 100, 40), ("csv", 120, 30)],  # csv: 150 rows, csv_test_fraction 0.2
+    )
+    def test_split_sizes_and_same_seed_same_bytes(self, tmp_path, dataset, train_size, test_size):
+        config = self.config(tmp_path, dataset)
+        train, test = build_datasets(config)
+        assert (len(train), len(test)) == (train_size, test_size)
+        runs = [run_experiment(config).trial_results[0] for _ in range(2)]
+        assert [len(trial.records) for trial in runs] == [2, 2]
+        assert metrics_csv_lines(runs[0].records) == metrics_csv_lines(runs[1].records)
+        assert runs[0].final_weights.tobytes() == runs[1].final_weights.tobytes()
+
+
+def test_on_iteration_reports_each_iteration(monkeypatch):
+    received = []
+    real_update = harness.local_update
+
+    def recording_update(objective, weights, *args):
+        received.append(weights)
+        return real_update(objective, weights, *args)
+
+    monkeypatch.setattr(harness, "local_update", recording_update)
+    k = 8
+    config = replace(BASE, iterations=4, devices_per_round=k, attack="craft", defense="err")
+    reports = []
+    trial = run_experiment(config, on_iteration=reports.append).trial_results[0]
+    assert [report.iteration for report in reports] == [0, 1, 2, 3]
+    # every sampled device of iteration t+1 starts from the model iteration t aggregated
+    assert len(received) == 4 * k
+    for t, report in enumerate(reports[:-1]):
+        assert all(np.array_equal(w, report.new_global) for w in received[(t + 1) * k : (t + 2) * k])
+    assert np.array_equal(reports[-1].new_global, trial.final_weights)
+    for report in reports:
+        assert len(report.sampled) == report.models.shape[0] == k
+        assert len(report.defense.survivors) == k - len(report.defense.removed)
 
 
 class TestConfigMapping:
