@@ -6,13 +6,12 @@ model poisoning attacks against them, and rejection-based defenses
 (ERR / LFR / Union), all behind a deterministic seeded harness.
 """
 
-from flrlab.core import RngStream, euclidean_distance, signed_direction
+from flrlab.core import RngStream, signed_direction
 
 __version__ = "0.1.0"
 
 __all__ = [
     "RngStream",
-    "euclidean_distance",
     "signed_direction",
     "__version__",
 ]

@@ -67,13 +67,6 @@ class RngStream:
         return RngStream(self.seed, f"{self.label}/{suffix}")
 
 
-def euclidean_distance(a, b) -> float:
-    """Euclidean distance between two parameter vectors of equal dimension."""
-    va = as_vector(a)
-    vb = as_vector(b, dim=va.shape[0])
-    return float(np.sqrt(np.sum((va - vb) ** 2)))
-
-
 def signed_direction(current, previous) -> np.ndarray:
     """Per-coordinate change direction: +1 where current > previous, else -1.
 

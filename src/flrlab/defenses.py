@@ -6,6 +6,11 @@ most, and Union drops anything either would.  Impacts are leave-one-out:
 aggregate with and without each model and compare on a small validation
 set held by the master.  The defenses never see which devices are actually
 compromised.
+
+The m leave-one-out aggregates do not rerun the rule m times except under
+Bulyan.  Mean, trimmed mean and median sort each column once and subtract
+one clipped value per model from the sum of one window; Krum selects within
+rows of one pairwise distance matrix.
 """
 
 from __future__ import annotations
@@ -61,10 +66,34 @@ class DefenseOutcome:
 def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
     """Yield the aggregate of all m models, then the aggregate without each model in turn.
 
+    Mean, trimmed mean and median average a window of each sorted column,
+    trimming beta values per side of the m-1 kept ones: 0, ``trim_count`` and
+    (m-2)//2.  Per column, with the m values sorted as s_0 <= ... <= s_{m-1},
+    removing value v leaves one of three windows:
+
+    - ``[beta+1, m-beta)`` where v <= s_{beta-1}: ``[beta, m-beta)`` without s_beta;
+    - ``[beta, m-1-beta)`` where v >= s_{m-1-beta}: ``[beta, m-beta)`` without s_{m-1-beta};
+    - otherwise ``[beta, m-beta)`` without v.
+
+    So each leave-one-out mean is the sum of ``[beta, m-beta)`` minus v clipped
+    to [s_beta, s_{m-1-beta}], over m-1-2*beta.  That sum holds only values
+    inside the window, so values far outside it add no rounding error.
+
     Krum builds one pairwise distance matrix and selects within each row
-    subset; the selection is identical to rerunning the rule on the subset.
+    subset, which is identical to rerunning the rule on the subset.  The
+    generic path, rerunning the rule on every subset, serves Bulyan only.
     """
     m = models.shape[0]
+    if agg_spec.rule in ("mean", "trimmed_mean", "median"):
+        yield aggregate(agg_spec, models)
+        agg_spec.validate(m - 1)
+        beta = {"mean": 0, "trimmed_mean": agg_spec.trim_count}.get(agg_spec.rule, (m - 2) // 2)
+        ordered = np.sort(models, axis=0)
+        window = ordered[beta : m - beta].sum(axis=0)
+        low, high = ordered[beta], ordered[m - 1 - beta]
+        for row in models:
+            yield (window - np.clip(row, low, high)) / (m - 1 - 2 * beta)
+        return
     subsets = [np.arange(m)] + [np.flatnonzero(np.arange(m) != i) for i in range(m)]
     if agg_spec.rule == "krum":
         agg_spec.validate(m - 1)

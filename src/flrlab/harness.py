@@ -134,6 +134,10 @@ class ExperimentConfig:
         classes = {"synth": self.synth_classes, "csv": self.csv_classes}.get(self.dataset)
         if classes is not None and (classes < 2 or self.num_devices % classes):
             raise ConfigError(f"{self.dataset} data needs at least 2 classes that divide the {self.num_devices} devices")
+        if self.dataset == "synth" and min(self.synth_per_class, self.synth_test_per_class, self.synth_features) < 1:
+            raise ConfigError("synthetic data needs at least one train and test instance per class and one feature")
+        if self.dataset == "csv" and not 0 < self.csv_test_fraction < 1:
+            raise ConfigError("csv test fraction must lie in (0, 1)")
         if self.attack == "craft":
             try:
                 attack = self.attack_spec()

@@ -99,3 +99,9 @@ def oracle_leave_one_out_mean(rows):
     dim = len(rows[0])
     totals = [sum(r[j] for r in rows) for j in range(dim)]
     return [[(totals[j] - rows[i][j]) / (m - 1) for j in range(dim)] for i in range(m)]
+
+
+def oracle_largest(impacts, count):
+    """Indices of the ``count`` largest impacts, lower index first on ties, in ascending order."""
+    ranked = sorted(range(len(impacts)), key=lambda i: (-impacts[i], i))
+    return tuple(sorted(ranked[:count]))

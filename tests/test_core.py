@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from flrlab.core import (
     RngStream,
     as_vector,
-    euclidean_distance,
     signed_direction,
 )
 
@@ -15,35 +14,6 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinit
 
 def vectors(dim):
     return st.lists(finite, min_size=dim, max_size=dim)
-
-
-class TestEuclideanDistance:
-    def test_identity(self):
-        assert euclidean_distance([0, 0], [0, 0]) == 0.0
-
-    def test_three_four_five(self):
-        assert euclidean_distance([0, 0], [3, 4]) == pytest.approx(5.0, abs=1e-12)
-
-    def test_direct_arithmetic(self):
-        # sqrt(3^2 + 4^2 + 0^2) = 5
-        assert euclidean_distance([1, 2, 3], [4, 6, 3]) == pytest.approx(5.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_distance([1, 2], [1, 2, 3])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            euclidean_distance([np.nan, 0], [0, 0])
-
-    @given(a=vectors(3), b=vectors(3))
-    def test_symmetric(self, a, b):
-        assert euclidean_distance(a, b) == pytest.approx(euclidean_distance(b, a), rel=1e-12)
-
-    @given(a=vectors(4), b=vectors(4), c=vectors(4))
-    @settings(max_examples=100)
-    def test_triangle_inequality(self, a, b, c):
-        assert euclidean_distance(a, c) <= euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-7
 
 
 class TestSignedDirection:

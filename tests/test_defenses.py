@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from flrlab.aggregation import AggregatorSpec
+from flrlab.aggregation import AggregatorSpec, aggregate
 from flrlab.core import RngStream
 from flrlab.data import Dataset, synth_blobs
 from flrlab.defenses import (
     DefenseSpec,
+    _loo_aggregates,
     apply_defense,
     impact_scores,
 )
 from flrlab.models import ModelSpec, error_rate, loss, shard_objective
 
-from oracles import oracle_leave_one_out_mean
+from oracles import oracle_largest, oracle_leave_one_out_mean, oracle_mean, oracle_median, oracle_trimmed_mean
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,23 @@ class TestImpactScores:
             _, without = krum(np.delete(models, i, axis=0), 2)
             assert r.error_impact == error_rate(model_spec, full, validation) - error_rate(model_spec, without, validation)
             assert r.loss_impact == loss(obj, full) - loss(obj, without)
+
+    def test_window_rules_make_one_aggregate_call(self, validation, model_spec, monkeypatch):
+        from flrlab import defenses
+
+        rng = RngStream(12, "d").generator()
+        models = rng.standard_normal((9, model_spec.dim))
+        original, calls = defenses.aggregate, []
+
+        def counted(spec, arr):
+            calls.append(len(arr))
+            return original(spec, arr)
+
+        monkeypatch.setattr(defenses, "aggregate", counted)
+        for spec in (AggregatorSpec("trimmed_mean", trim_count=2), AggregatorSpec("median"), AggregatorSpec("mean")):
+            calls.clear()
+            impact_scores(models, spec, model_spec, validation)
+            assert calls == [9]  # the full aggregate; every leave-one-out aggregate is a closed form
 
     def test_permutation_equivariant(self, validation, model_spec):
         rng = RngStream(8, "d").generator()
@@ -188,3 +206,71 @@ class TestApplyDefense:
         agg = AggregatorSpec("trimmed_mean", trim_count=2)
         with pytest.raises(ValueError):
             impact_scores(models, agg, model_spec, validation)
+
+
+def window_specs(rng, m):
+    """Mean, median and a trimmed mean with a random trim valid for m-1 models."""
+    trim = int(rng.integers(0, (m - 2) // 2 + 1))
+    return [AggregatorSpec("mean"), AggregatorSpec("median"), AggregatorSpec("trimmed_mean", trim_count=trim)]
+
+
+def oracle_rule(spec, rows):
+    if spec.rule == "mean":
+        return oracle_mean(rows)
+    if spec.rule == "median":
+        return oracle_median(rows)
+    return oracle_trimmed_mean(rows, spec.trim_count)
+
+
+class TestWindowLeaveOneOut:
+    """The closed-form leave-one-out windows against rerunning the rule on each subset."""
+
+    # the closed form subtracts one value from a window sum instead of summing the
+    # window without it; the largest gap seen on these inputs is 5e-16
+    ATOL = 1e-12
+
+    @pytest.mark.parametrize("m", range(3, 41))
+    def test_matches_rule_rerun_with_ties(self, m):
+        rng = RngStream(m, "loo-windows").generator()
+        models = np.round(rng.standard_normal((m, 6)), 1)
+        models[:, 0] = 0.5  # a fully tied column
+        models[:, 1] = np.round(models[:, 1])  # a column of few distinct values
+        for spec in window_specs(rng, m):
+            loo = list(_loo_aggregates(models, spec))
+            assert len(loo) == m + 1
+            assert np.array_equal(loo[0], aggregate(spec, models))
+            for i, without in enumerate(loo[1:]):
+                rest = np.delete(models, i, axis=0)
+                assert np.allclose(without, aggregate(spec, rest), rtol=0, atol=self.ATOL), (spec, i)
+                assert np.allclose(without, oracle_rule(spec, rest.tolist()), rtol=0, atol=self.ATOL), (spec, i)
+
+    def test_far_outliers_add_no_rounding_error(self):
+        # 20 rows far below the rest fall outside every window (a prefix-sum
+        # difference across them would lose about 1e-7 here)
+        rng = RngStream(14, "loo-outliers").generator()
+        models = 0.01 * rng.standard_normal((100, 50))
+        models[:20] = -1e8 * (1 + rng.random((20, 50)))
+        for spec in (AggregatorSpec("median"), AggregatorSpec("trimmed_mean", trim_count=20)):
+            for i, without in enumerate(list(_loo_aggregates(models, spec))[1:]):
+                assert np.allclose(without, aggregate(spec, np.delete(models, i, axis=0)), rtol=0, atol=1e-15)
+
+    def test_removal_sets_match_rule_rerun(self, validation, model_spec):
+        """ERR, LFR and Union remove the same devices as scoring each rerun subset."""
+        rng = RngStream(13, "loo-removals").generator()
+        center = trained_models(validation, model_spec, count=1, noise=0.0)[0]
+        obj = shard_objective(model_spec, validation)
+        for _ in range(300):
+            m = int(rng.integers(3, 13))
+            spec = window_specs(rng, m)[int(rng.integers(3))]
+            models = center + rng.uniform(0.1, 3.0) * rng.standard_normal((m, model_spec.dim))
+            count = int(rng.integers(1, m))
+            full = aggregate(spec, models)
+            reruns = [aggregate(spec, np.delete(models, i, axis=0)) for i in range(m)]
+            by_error = oracle_largest(
+                [error_rate(model_spec, full, validation) - error_rate(model_spec, w, validation) for w in reruns], count
+            )
+            by_loss = oracle_largest([loss(obj, full) - loss(obj, w) for w in reruns], count)
+            expected = {"err": by_error, "lfr": by_loss, "union": tuple(sorted(set(by_error) | set(by_loss)))}
+            for kind, removed in expected.items():
+                outcome = apply_defense(models, spec, model_spec, DefenseSpec(kind, count, validation))
+                assert outcome.removed == removed, (kind, spec, m, count)

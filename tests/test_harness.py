@@ -88,6 +88,14 @@ class TestValidateRejectsMidRunFailures:
             dict(synth_classes=3),  # 10 devices
             dict(dataset="csv", csv_classes=3),
             dict(dataset="csv", csv_classes=1),
+            # empty synthetic data: synth_blobs would raise a plain ValueError at set-up
+            dict(synth_per_class=0),
+            dict(synth_test_per_class=0),
+            dict(synth_features=0),
+            # -0.5 would run with a one-row test set, 1.0 would leave no training rows
+            dict(dataset="csv", csv_test_fraction=-0.5),
+            dict(dataset="csv", csv_test_fraction=0.0),
+            dict(dataset="csv", csv_test_fraction=1.0),
         ],
     )
     def test_rejected(self, fields):
