@@ -24,6 +24,12 @@ KNOWLEDGE_MODES = ("full", "partial")
 OBJECTIVES = ("directed_deviation", "deviation")
 # targets crafted against with attack_krum; every other rule is coordinate-wise (attack_trimmed_mean)
 KRUM_TARGETS = ("krum", "bulyan")
+# the ball the c-1 supporting Krum models are sampled in
+SUPPORT_RADIUS = 0.01
+# how far the trimmed-mean/median sampling interval stretches past the benign extremes
+INTERVAL_FACTOR = 2.0
+# where the Krum binary search gives up
+SHIFT_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -51,39 +57,16 @@ class KnowledgeScope:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Crafted-attack hyperparameters.
-
-    ``support_radius`` bounds the ball the c-1 supporting Krum models are
-    sampled in; ``interval_factor`` stretches the sampling interval past the
-    benign extremes for the trimmed-mean/median attack; ``shift_floor`` is
-    where the Krum binary search gives up.
-    """
+    """The rule a crafted attack targets and the objective it pursues."""
 
     target_rule: str
     objective: str = "directed_deviation"
-    support_radius: float = 0.01
-    interval_factor: float = 2.0
-    shift_floor: float = 1e-5
 
     def __post_init__(self):
         if self.target_rule not in RULES:
             raise ValueError(f"unknown attack target {self.target_rule!r}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown attack objective {self.objective!r}")
-        if self.support_radius <= 0:
-            raise ValueError("support radius must be positive")
-        if self.interval_factor <= 1:
-            raise ValueError("interval factor must exceed 1")
-        if self.shift_floor <= 0:
-            raise ValueError("shift floor must be positive")
-
-
-@dataclass(frozen=True)
-class CoordinateStats:
-    """Per-coordinate mean and population standard deviation."""
-
-    mean: np.ndarray
-    std: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -156,11 +139,10 @@ def _binary_search_shift(
     w_received: np.ndarray,
     direction: np.ndarray,
     copies: int,
-    shift_floor: float,
 ) -> tuple[float, np.ndarray] | None:
     """Halve the shift from its upper bound until Krum picks the crafted model."""
     shift = krum_shift_upper_bound(candidates, w_received, copies)
-    while shift >= shift_floor:
+    while shift >= SHIFT_FLOOR:
         crafted = w_received - shift * direction
         eval_set = np.vstack([np.tile(crafted, (copies, 1)), candidates])
         chosen, _ = krum(eval_set, copies)
@@ -218,21 +200,15 @@ def attack_krum(
         direction = np.ones(dim)
 
     for copies in copy_plans:
-        found = _binary_search_shift(candidates, scope.w_received, direction, copies, spec.shift_floor)
+        found = _binary_search_shift(candidates, scope.w_received, direction, copies)
         if found is not None:
             shift, crafted = found
             out = np.empty((c, dim))
             out[0] = crafted
             for i in range(1, c):
-                out[i] = sample_in_ball(crafted, spec.support_radius, rng)
+                out[i] = sample_in_ball(crafted, SUPPORT_RADIUS, rng)
             return KrumAttackResult(out, shift, copies)
     return KrumAttackResult(None, None, 0)
-
-
-def coordinate_stats(models) -> CoordinateStats:
-    """Exact per-coordinate statistics (population standard deviation)."""
-    arr = as_model_matrix(models)
-    return CoordinateStats(mean=arr.mean(axis=0), std=arr.std(axis=0))
 
 
 def attack_trimmed_mean(
@@ -261,13 +237,14 @@ def attack_trimmed_mean(
         if spec.objective != "directed_deviation":
             raise ValueError("the deviation objective is defined for full knowledge only")
         s = as_vector(direction, dim=dim)
-        stats = coordinate_stats(scope.models)
-        lo = np.where(s < 0, stats.mean + 3.0 * stats.std, stats.mean - 4.0 * stats.std)
-        hi = np.where(s < 0, stats.mean + 4.0 * stats.std, stats.mean - 3.0 * stats.std)
+        # population standard deviation of the compromised models, per coordinate
+        mu, sigma = scope.models.mean(axis=0), scope.models.std(axis=0)
+        lo = np.where(s < 0, mu + 3.0 * sigma, mu - 4.0 * sigma)
+        hi = np.where(s < 0, mu + 4.0 * sigma, mu - 3.0 * sigma)
     else:
         benign = scope.models[c:]
         # [max, factor*max] or [max, max/factor], whichever lies beyond the benign maximum; mirrored below the minimum
-        above_lo, below_hi, f = benign.max(axis=0), benign.min(axis=0), spec.interval_factor
+        above_lo, below_hi, f = benign.max(axis=0), benign.min(axis=0), INTERVAL_FACTOR
         above_hi, below_lo = np.maximum(f * above_lo, above_lo / f), np.minimum(f * below_hi, below_hi / f)
         if spec.objective == "directed_deviation":
             s = as_vector(direction, dim=dim)

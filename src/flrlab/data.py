@@ -148,12 +148,13 @@ def _scale_min_max(features: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def load_csv(path, label_column: str, num_classes: int) -> Dataset:
+def load_csv(path, label_column: str) -> Dataset:
     """Load a numeric CSV with a header row as a Dataset.
 
     Features are min-max scaled per column to [0, 1].  Labels that parse as
-    integers already in [0, num_classes) are kept verbatim; otherwise the
-    distinct raw values are sorted and mapped to 0..L-1 (e.g. B/M -> 0/1).
+    non-negative integers are kept verbatim; otherwise the distinct raw
+    values are sorted and mapped to 0..L-1 (e.g. B/M -> 0/1).  The class
+    count is read from the labels: the largest label + 1, at least 2.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -179,24 +180,21 @@ def load_csv(path, label_column: str, num_classes: int) -> Dataset:
         raise CsvFormatError(f"{path}: no data rows")
 
     features = _scale_min_max(np.asarray(rows, dtype=np.float64))
-    labels = _map_labels(raw_labels, num_classes, path)
-    return Dataset(features, labels, num_classes)
+    labels = _map_labels(raw_labels, path)
+    return Dataset(features, labels, max(2, int(labels.max()) + 1))
 
 
-def _map_labels(raw_labels: list[str], num_classes: int, path: Path) -> np.ndarray:
+def _map_labels(raw_labels: list[str], path: Path) -> np.ndarray:
     try:
         ints = [int(v) for v in raw_labels]
     except ValueError:
         ints = None
     if ints is not None:
         arr = np.asarray(ints, dtype=np.int64)
-        if arr.min() < 0 or arr.max() >= num_classes:
-            raise CsvFormatError(f"{path}: integer label outside [0, {num_classes})")
+        if arr.min() < 0:
+            raise CsvFormatError(f"{path}: negative integer label")
         return arr
-    values = sorted(set(raw_labels))
-    if len(values) > num_classes:
-        raise CsvFormatError(f"{path}: {len(values)} distinct label values but only {num_classes} classes")
-    mapping = {v: i for i, v in enumerate(values)}
+    mapping = {v: i for i, v in enumerate(sorted(set(raw_labels)))}
     return np.asarray([mapping[v] for v in raw_labels], dtype=np.int64)
 
 

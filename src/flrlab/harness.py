@@ -3,7 +3,7 @@
 One iteration: broadcast the global model, let every sampled device run
 local SGD (compromised devices included, so the attacker has the honest
 before-attack models), replace the compromised devices' uploads with
-crafted ones on poisoned iterations, filter with the configured defense,
+crafted ones, filter with the configured defense,
 and aggregate.  Every random draw comes from a labelled stream derived
 from (seed, trial, iteration, purpose), which makes runs bit-reproducible
 and keeps attack randomness isolated from training randomness.
@@ -41,7 +41,6 @@ CHOICES = {
     "attack": ("none", "gaussian", "label_flip", "craft"),
     "knowledge": KNOWLEDGE_MODES,
     "defense": DEFENSE_KINDS,
-    "selection": ("last", "best_validation"),
     "dataset": ("synth", "idx", "csv"),
     "model": MODEL_KINDS,
 }
@@ -53,7 +52,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one experiment; field names double as config-file keys."""
+    """Full description of one experiment; field names double as config-file keys.
+
+    Only what a caller varies is a field.  The rest follows the paper:
+
+    - ``aggregator_spec`` derives the rule parameters from the assumed
+      compromised count c: trimmed mean trims beta = c per side, and Bulyan
+      selects theta = num_devices - 2c and averages gamma = theta - 2c;
+    - the crafted attacks use the constants ``SUPPORT_RADIUS``,
+      ``INTERVAL_FACTOR`` and ``SHIFT_FLOOR`` of ``flrlab.attacks``;
+    - every iteration of a run with an attack is attacked;
+    - the last iterate is the final model;
+    - a file dataset's class count is read from its labels: IDX and CSV
+      both take the largest label + 1, at least 2 (CSV maps string labels
+      to 0..L-1 first).  It must divide ``num_devices``; that is checked
+      once the data is loaded, before iteration 0.
+    """
 
     # federation
     num_devices: int = 100
@@ -70,23 +84,14 @@ class ExperimentConfig:
     # aggregation
     rule: str = "mean"
     assumed_compromised: int | None = None  # defaults to `compromised`
-    trim_count: int | None = None  # defaults to assumed_compromised
-    selection_count: int | None = None  # bulyan theta, defaults to m - 2c
-    average_count: int | None = None  # bulyan gamma, defaults to theta - 2c
     # attack
     attack: str = "none"
     attack_rule: str | None = None  # crafted attack's assumed rule, defaults to `rule`
     knowledge: str = "full"
     objective: str = "directed_deviation"
-    support_radius: float = 0.01
-    interval_factor: float = 2.0
-    shift_floor: float = 1e-5
-    poison_fraction: float = 1.0
     # defense
     defense: str = "none"
     validation_size: int = 100
-    # final model selection
-    selection: str = "last"
     # data source
     dataset: str = "synth"
     synth_classes: int = 2
@@ -100,13 +105,15 @@ class ExperimentConfig:
     idx_test_labels: str = ""
     csv_path: str = ""
     csv_label_column: str = "label"
-    csv_classes: int = 2
     csv_test_fraction: float = 0.2
     # bookkeeping
     seed: int = 0
     trials: int = 1
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            if kind is float and not math.isfinite(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.num_devices < 1:
             raise ConfigError("need at least one device")
         if not 0 <= self.compromised < self.num_devices / 2:
@@ -118,8 +125,6 @@ class ExperimentConfig:
         k = self.resolved_devices_per_round()
         if not 1 <= k <= self.num_devices:
             raise ConfigError("devices per round out of range")
-        if not 0 <= self.poison_fraction <= 1:
-            raise ConfigError("poison fraction must lie in [0, 1]")
         for name, allowed in CHOICES.items():
             if (value := getattr(self, name)) not in allowed:
                 raise ConfigError(f"unknown {name} {value!r}; choose one of {', '.join(allowed)}")
@@ -131,9 +136,8 @@ class ExperimentConfig:
             raise ConfigError("label bias must lie in (0, 1]")
         if self.model == "mlp" and self.hidden < 1:
             raise ConfigError("the mlp needs a positive hidden width")
-        classes = {"synth": self.synth_classes, "csv": self.csv_classes}.get(self.dataset)
-        if classes is not None and (classes < 2 or self.num_devices % classes):
-            raise ConfigError(f"{self.dataset} data needs at least 2 classes that divide the {self.num_devices} devices")
+        if self.dataset == "synth" and (self.synth_classes < 2 or self.num_devices % self.synth_classes):
+            raise ConfigError(f"synth data needs at least 2 classes that divide the {self.num_devices} devices")
         if self.dataset == "synth" and min(self.synth_per_class, self.synth_test_per_class, self.synth_features) < 1:
             raise ConfigError("synthetic data needs at least one train and test instance per class and one feature")
         if self.dataset == "csv" and not 0 < self.csv_test_fraction < 1:
@@ -155,7 +159,7 @@ class ExperimentConfig:
             raise ConfigError(f"the {self.defense} defense removes c models; c must be positive")
         # Model counts the rule must aggregate: k always; with a defense on, also k-1
         # (leave-one-out) and k-c (survivors), plus k-2c for Union, which can remove up
-        # to 2c.  Set-up checks only what depends on the data: IDX class counts, empty shards.
+        # to 2c.  Set-up checks only what depends on the data: file class counts, empty shards.
         counts = [k]
         if self.defense != "none":
             counts += [k - 1, k - c] + ([k - 2 * c] if self.defense == "union" else [])
@@ -174,25 +178,17 @@ class ExperimentConfig:
 
     def aggregator_spec(self) -> AggregatorSpec:
         c = self.resolved_assumed()
-        trim = c if self.trim_count is None else self.trim_count
-        theta = self.num_devices - 2 * c if self.selection_count is None else self.selection_count
-        gamma = theta - 2 * c if self.average_count is None else self.average_count
+        theta = self.num_devices - 2 * c
         return AggregatorSpec(
             self.rule,
             assumed_compromised=c,
-            trim_count=trim,
+            trim_count=c,
             selection_count=theta,
-            average_count=gamma,
+            average_count=theta - 2 * c,
         )
 
     def attack_spec(self) -> AttackSpec:
-        return AttackSpec(
-            target_rule=self.attack_rule or self.rule,
-            objective=self.objective,
-            support_radius=self.support_radius,
-            interval_factor=self.interval_factor,
-            shift_floor=self.shift_floor,
-        )
+        return AttackSpec(target_rule=self.attack_rule or self.rule, objective=self.objective)
 
     def model_spec(self, train: Dataset) -> ModelSpec:
         return ModelSpec(self.model, train.num_features, train.num_classes, hidden=self.hidden)
@@ -228,7 +224,6 @@ class TrialState:
     test: Dataset
     validation: Dataset
     stream: RngStream
-    poisoned_iterations: frozenset[int]
     weights: np.ndarray
     objectives: list = field(default_factory=list)
     flipped_objectives: dict = field(default_factory=dict)
@@ -239,33 +234,6 @@ def sample_devices(num_devices: int, count: int, rng: np.random.Generator) -> np
     if not 1 <= count <= num_devices:
         raise ValueError("sample size out of range")
     return np.sort(rng.choice(num_devices, size=count, replace=False))
-
-
-def poison_schedule(iterations: int, fraction: float, rng: np.random.Generator) -> frozenset[int]:
-    """Exactly round(fraction * iterations) distinct poisoned iterations."""
-    if not 0 <= fraction <= 1:
-        raise ValueError("poison fraction must lie in [0, 1]")
-    count = round(fraction * iterations)
-    if count == 0:
-        return frozenset()
-    return frozenset(int(i) for i in rng.choice(iterations, size=count, replace=False))
-
-
-def select_final_model(history, strategy: str) -> tuple[int, np.ndarray]:
-    """Pick the final global model from per-iteration (weights, validation error).
-
-    Returns (iteration index, weights).  ``best_validation`` takes the
-    earliest minimum; ``last`` the final iterate.
-    """
-    if not history:
-        raise ValueError("empty history")
-    if strategy == "last":
-        return len(history) - 1, history[-1][0]
-    if strategy == "best_validation":
-        errors = np.asarray([err for _, err in history])
-        idx = int(np.argmin(errors))
-        return idx, history[idx][0]
-    raise ValueError(f"unknown selection strategy {strategy!r}")
 
 
 def _craft_models(
@@ -314,8 +282,7 @@ def run_iteration(
     else:
         sampled = np.arange(m)
     present = int(np.sum(sampled < config.compromised))
-    scheduled = config.attack != "none" and iteration in state.poisoned_iterations
-    flip_active = scheduled and config.attack == "label_flip"
+    flip_active = config.attack == "label_flip"
 
     updates = []
     for dev in sampled:
@@ -337,7 +304,7 @@ def run_iteration(
     models = np.stack(updates)
 
     shift = None
-    if scheduled and present > 0 and config.attack in ("gaussian", "craft"):
+    if present > 0 and config.attack in ("gaussian", "craft"):
         attack_rng = it_stream.child("attack").generator()
         if config.attack == "gaussian":
             models[:present] = attack_gaussian(models, present, attack_rng)
@@ -361,7 +328,7 @@ def run_iteration(
         train_loss=loss(shard_objective(state.model_spec, state.train), new_global),
         test_error=error_rate(state.model_spec, new_global, state.test),
         validation_error=error_rate(state.model_spec, new_global, state.validation),
-        attack_active=scheduled,
+        attack_active=config.attack != "none",
         attack_shift=shift,
         removed_devices=removed,
     )
@@ -373,7 +340,6 @@ def run_iteration(
 class TrialResult:
     records: tuple[MetricsRecord, ...]
     final_weights: np.ndarray
-    selected_iteration: int
     final_test_error: float
     final_validation_error: float
 
@@ -424,7 +390,7 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         train = load_idx(config.idx_train_images, config.idx_train_labels)
         test = load_idx(config.idx_test_images, config.idx_test_labels)
         return train, test
-    full = load_csv(config.csv_path, config.csv_label_column, config.csv_classes)
+    full = load_csv(config.csv_path, config.csv_label_column)
     n = len(full)
     n_test = max(1, int(round(config.csv_test_fraction * n)))
     order = RngStream(config.seed, "data/split").generator().permutation(n)
@@ -456,9 +422,6 @@ def run_trial(
         raise ConfigError(f"devices {empty} received no training instances; use more data or fewer devices")
 
     validation = _carve_validation(test, config.validation_size, stream.child("validation").generator())
-    schedule = frozenset()
-    if config.attack != "none":
-        schedule = poison_schedule(config.iterations, config.poison_fraction, stream.child("schedule").generator())
 
     state = TrialState(
         model_spec=model_spec,
@@ -467,7 +430,6 @@ def run_trial(
         test=test,
         validation=validation,
         stream=stream,
-        poisoned_iterations=schedule,
         weights=init_params(model_spec, stream.child("init").generator()),
     )
     state.objectives = [shard_objective(model_spec, train, shard) for shard in shards]
@@ -478,22 +440,17 @@ def run_trial(
         }
 
     records: list[MetricsRecord] = []
-    history: list[tuple[np.ndarray, float]] = []
     for t in range(config.iterations):
-        new_global, record, report = run_iteration(state, config, t)
-        state.weights = new_global
+        state.weights, record, report = run_iteration(state, config, t)
         records.append(record)
-        history.append((new_global, record.validation_error))
         if on_iteration is not None:
             on_iteration(report)
 
-    selected_iteration, final_weights = select_final_model(history, config.selection)
     return TrialResult(
         records=tuple(records),
-        final_weights=final_weights,
-        selected_iteration=selected_iteration,
-        final_test_error=error_rate(model_spec, final_weights, test),
-        final_validation_error=records[selected_iteration].validation_error,
+        final_weights=state.weights,
+        final_test_error=error_rate(model_spec, state.weights, test),
+        final_validation_error=records[-1].validation_error,
     )
 
 
@@ -509,6 +466,8 @@ def run_experiment(
         raise ValueError("supply both train and test datasets, or neither")
     if train is None:
         train, test = build_datasets(config)
+    if config.num_devices % train.num_classes:
+        raise ConfigError(f"the {train.num_classes} classes of the data do not divide the {config.num_devices} devices")
     results = tuple(
         run_trial(config, train, test, trial, on_iteration=on_iteration) for trial in range(config.trials)
     )
@@ -566,7 +525,7 @@ def metrics_csv_lines(records) -> list[str]:
     - ``train_loss``: cross-entropy of the new global model on the training set;
     - ``test_error``: its error rate on the test set;
     - ``validation_error``: its error rate on the master's validation set;
-    - ``attack_active``: 1 if the iteration was scheduled for poisoning, else 0;
+    - ``attack_active``: 1 if the run has an attack (every iteration is attacked), else 0;
     - ``attack_shift``: the Krum attack's crafted shift, empty when no Krum
       attack produced a model (no attack, no solution, or another attack);
     - ``removed_devices``: ';'-separated device ids the defense removed, ascending.

@@ -3,12 +3,12 @@ import pytest
 
 from flrlab.aggregation import krum, trimmed_mean
 from flrlab.attacks import (
+    SUPPORT_RADIUS,
     AttackSpec,
     KnowledgeScope,
     attack_gaussian,
     attack_krum,
     attack_trimmed_mean,
-    coordinate_stats,
     estimate_direction,
     flip_labels,
     krum_shift_upper_bound,
@@ -94,8 +94,7 @@ class TestAttackKrum:
         successes = 0
         for _ in range(100):
             scope, c = full_scope(rng)
-            spec = AttackSpec("krum", support_radius=0.05)
-            result = attack_krum(scope, spec, c, rng)
+            result = attack_krum(scope, AttackSpec("krum"), c, rng)
             if not result.success:
                 continue
             successes += 1
@@ -110,7 +109,7 @@ class TestAttackKrum:
             assert np.array_equal(vector, result.models[0])
             # support models stay inside the radius ball
             for i in range(1, c):
-                assert np.linalg.norm(result.models[i] - result.models[0]) <= spec.support_radius
+                assert np.linalg.norm(result.models[i] - result.models[0]) <= SUPPORT_RADIUS
         assert successes > 50  # random geometry admits the attack most of the time
 
     def test_crafted_model_moves_against_direction(self):
@@ -189,26 +188,6 @@ class TestAttackKrum:
         assert np.array_equal(one.models, two.models)
 
 
-class TestCoordinateStats:
-    def test_identical_models(self):
-        stats = coordinate_stats(np.tile(np.array([2.0, -1.0]), (4, 1)))
-        assert np.all(stats.std == 0)
-        assert np.array_equal(stats.mean, np.array([2.0, -1.0]))
-
-    def test_one_two_three(self):
-        stats = coordinate_stats(np.array([[1.0], [2.0], [3.0]]))
-        assert stats.mean[0] == pytest.approx(2.0)
-        assert stats.std[0] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-12)  # population convention
-
-    def test_order_invariant(self):
-        rng = RngStream(8, "s").generator()
-        models = rng.standard_normal((6, 3))
-        perm = rng.permutation(6)
-        a, b = coordinate_stats(models), coordinate_stats(models[perm])
-        assert np.allclose(a.mean, b.mean, atol=1e-12)
-        assert np.allclose(a.std, b.std, atol=1e-12)
-
-
 def full_tm_scope(benign_rows, compromised_rows, w_re=None):
     models = np.vstack([compromised_rows, benign_rows])
     w = np.zeros(models.shape[1]) if w_re is None else w_re
@@ -219,8 +198,7 @@ class TestAttackTrimmedMean:
     def test_full_knowledge_interval_above_max(self):
         benign = np.array([[1.0], [2.0], [3.0]])
         scope = full_tm_scope(benign, np.zeros((2, 1)))
-        spec = AttackSpec("trimmed_mean", interval_factor=2.0)
-        crafted = attack_trimmed_mean(scope, spec, 2, np.array([-1.0]), RngStream(9, "t").generator())
+        crafted = attack_trimmed_mean(scope, AttackSpec("trimmed_mean"), 2, np.array([-1.0]), RngStream(9, "t").generator())
         assert crafted.shape == (2, 1)
         assert np.all(crafted >= 3.0) and np.all(crafted <= 6.0)
 

@@ -1,19 +1,28 @@
-"""The benchmark's tracer patches flrlab call sites by name; a rename that
-drops one would only show when someone runs ``perfbench/run.py --trace 1``."""
+"""The benchmark's tracer patches flrlab call sites by name, and its workloads
+and checks read config fields by name; a rename or removal that drops one
+would only show when someone runs ``perfbench/run.py``."""
 
 import importlib
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from flrlab.harness import ExperimentConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def traced_sites() -> list[tuple[str, str, str]]:
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer")
     return [(layer, module, attr) for layer, sites in tracer.LAYERS.items() for module, attr in sites]
 
 
@@ -23,3 +32,23 @@ def test_traced_call_site_resolves(layer, module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner), f"{layer}: flrlab.{module}.{attr} is not callable"
+
+
+workloads = load_perfbench("workloads")
+
+
+def workload_settings(name: str) -> dict:
+    return {**workloads.BASE, **workloads.WORKLOADS[name]}
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_settings_are_config_fields(workload):
+    assert set(workload_settings(workload)) <= {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_aggregator_spec_has_what_the_checks_read(workload):
+    # perfbench/checks.py builds each workload's reference rule from these
+    spec = ExperimentConfig(**workload_settings(workload)).aggregator_spec()
+    for name in ("rule", "assumed_compromised", "trim_count"):
+        assert hasattr(spec, name), f"aggregator_spec() has no {name}"

@@ -76,14 +76,14 @@ class TestLoadCsv:
     def test_string_labels_map_sorted(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,label\n1,10,B\n2,20,M\n3,30,B\n")
-        ds = load_csv(path, "label", 2)
+        ds = load_csv(path, "label")
         assert len(ds) == 3 and ds.num_features == 2 and ds.num_classes == 2
         assert ds.labels.tolist() == [0, 1, 0]
 
     def test_min_max_scaling_and_constant_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,label\n1,5,0\n2,5,1\n3,5,0\n")
-        ds = load_csv(path, "label", 2)
+        ds = load_csv(path, "label")
         assert ds.features[:, 0].tolist() == [0.0, 0.5, 1.0]
         assert ds.features[:, 1].tolist() == [0.0, 0.0, 0.0]  # constant -> zeros
 
@@ -91,16 +91,23 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text("a,label\nx,0\n")
         with pytest.raises(CsvFormatError):
-            load_csv(path, "label", 2)
+            load_csv(path, "label")
 
     def test_unknown_label_value(self, tmp_path):
+        # a negative integer label names no class
         path = tmp_path / "d.csv"
-        path.write_text("a,label\n1,5\n2,0\n")
+        path.write_text("a,label\n1,-1\n2,0\n")
         with pytest.raises(CsvFormatError):
-            load_csv(path, "label", 2)
-        path.write_text("a,label\n1,x\n2,y\n3,z\n")
-        with pytest.raises(CsvFormatError):
-            load_csv(path, "label", 2)
+            load_csv(path, "label")
+
+    @pytest.mark.parametrize(
+        "labels, num_classes",
+        [(["5", "0"], 6), (["x", "y", "z"], 3), (["0", "0"], 2), (["B", "B"], 2)],
+    )
+    def test_class_count_read_from_labels(self, tmp_path, labels, num_classes):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n" + "".join(f"{i},{label}\n" for i, label in enumerate(labels)))
+        assert load_csv(path, "label").num_classes == num_classes
 
     def test_round_trip(self, tmp_path):
         rng = RngStream(3, "csv").generator()
@@ -110,10 +117,10 @@ class TestLoadCsv:
         lines = ["f0,f1,f2,f3,label"]
         lines += [",".join(repr(float(v)) for v in row) + f",{lab}" for row, lab in zip(rows, labels)]
         raw.write_text("\n".join(lines) + "\n")
-        ds = load_csv(raw, "label", 3)
+        ds = load_csv(raw, "label")
         out = tmp_path / "out.csv"
         save_csv(ds, out)
-        again = load_csv(out, "label", 3)
+        again = load_csv(out, "label")
         assert np.allclose(ds.features, again.features, atol=1e-9)
         assert np.array_equal(ds.labels, again.labels)
 

@@ -3,7 +3,9 @@
 The grid crosses every aggregation rule with every defense and five attack
 settings on a 10-device federation with logistic regression, plus every rule
 with no attack and the full-knowledge crafted attack on a 4-unit MLP (keys
-prefixed ``mlp/``).  ``golden_metrics.json`` holds the ``metrics_csv_lines``
+prefixed ``mlp/``), plus the full-knowledge crafted attack against Krum and
+Bulyan on 50 features (keys prefixed ``f50/``), where every iteration finds a
+crafted shift.  ``golden_metrics.json`` holds the ``metrics_csv_lines``
 text of each config that runs; Bulyan under a defense cannot run at this size
 and is rejected by ``ExperimentConfig.validate``.
 
@@ -56,6 +58,12 @@ GRID.update(
         for attack in ("none", "craft-full")
     }
 )
+GRID.update(
+    {
+        f"f50/{rule}/none/craft-full": replace(BASE, synth_features=50, rule=rule, **ATTACKS["craft-full"])
+        for rule in ("krum", "bulyan")
+    }
+)
 
 
 def csv_text(config: ExperimentConfig) -> str:
@@ -73,7 +81,7 @@ def test_metrics_csv_is_byte_identical(name):
 
 
 def test_grid_configs_without_golden_are_rejected_before_iteration_zero():
-    assert len(GOLDEN_CSV) == 95
+    assert len(GOLDEN_CSV) == 97
     skipped = sorted(set(GRID) - set(GOLDEN_CSV))
     assert skipped == sorted(
         f"bulyan/{defense}/{attack}" for defense in DEFENSE_KINDS if defense != "none" for attack in ATTACKS

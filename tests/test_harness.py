@@ -15,7 +15,6 @@ from flrlab.harness import (
     config_from_mapping,
     config_to_mapping,
     metrics_csv_lines,
-    poison_schedule,
     run_experiment,
 )
 
@@ -72,12 +71,10 @@ class TestValidateRejectsMidRunFailures:
             dict(compromised=0, defense="err"),  # the defense would remove c = 0 models
             dict(assumed_compromised=0, defense="lfr"),
             dict(validation_size=0),
-            dict(attack="craft", support_radius=0.0),
-            dict(attack="craft", interval_factor=1.0),
             # a sample of 3 can hold only compromised devices
             dict(attack="craft", devices_per_round=3, compromised=4),
             # a sample of 6 can hold 4 compromised devices, too many for the attacker's trimmed mean
-            dict(rule="trimmed_mean", trim_count=1, attack="craft", devices_per_round=6, compromised=4),
+            dict(rule="trimmed_mean", assumed_compromised=1, attack="craft", devices_per_round=6, compromised=4),
             dict(rule="median", attack="craft", attack_rule="trimmed_mean", devices_per_round=6, compromised=4),
             dict(rule="mean", attack="craft", knowledge="partial", objective="deviation"),
             dict(rule="median", attack="craft", knowledge="partial", objective="deviation"),
@@ -86,8 +83,6 @@ class TestValidateRejectsMidRunFailures:
             dict(label_bias=1.5),
             dict(model="mlp", hidden=0),
             dict(synth_classes=3),  # 10 devices
-            dict(dataset="csv", csv_classes=3),
-            dict(dataset="csv", csv_classes=1),
             # empty synthetic data: synth_blobs would raise a plain ValueError at set-up
             dict(synth_per_class=0),
             dict(synth_test_per_class=0),
@@ -96,6 +91,12 @@ class TestValidateRejectsMidRunFailures:
             dict(dataset="csv", csv_test_fraction=-0.5),
             dict(dataset="csv", csv_test_fraction=0.0),
             dict(dataset="csv", csv_test_fraction=1.0),
+            # a non-finite learning rate fails mid-run on NaN models, a non-finite spread at set-up
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(synth_spread=float("nan")),
+            dict(synth_spread=float("inf")),
+            dict(synth_spread=float("-inf")),
         ],
     )
     def test_rejected(self, fields):
@@ -124,41 +125,17 @@ def test_grid_configs_are_rejected_or_run_to_the_end():
     assert failures == []
 
 
-class TestHarnessOptions:
-    def test_best_validation_selects_the_earliest_minimum(self):
-        config = replace(
-            BASE, iterations=8, selection="best_validation", attack="gaussian", synth_spread=1.5, learning_rate=0.02, seed=5
-        )
-        trial = run_experiment(config).trial_results[0]
-        errors = [r.validation_error for r in trial.records]
-        # this seed's minimum is tied over several iterations, none of them the last
-        assert errors.count(min(errors)) > 1 and errors[-1] > min(errors)
-        assert trial.selected_iteration == int(np.argmin(errors))
-        assert trial.final_validation_error == errors[trial.selected_iteration]
-
-    def test_poison_fraction_schedules_that_many_iterations(self):
-        config = replace(BASE, iterations=4, poison_fraction=0.5, attack="gaussian")
-        records = run_experiment(config).trial_results[0].records
-        assert sum(r.attack_active for r in records) == 2
-
-    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
-    def test_poison_schedule_size(self, fraction):
-        schedule = poison_schedule(7, fraction, np.random.default_rng(0))
-        assert len(schedule) == round(fraction * 7)
-        assert schedule <= set(range(7))
-
-
 class TestFileDatasets:
     """The IDX and CSV sources, which the golden grid (synthetic data) never reads."""
 
     @staticmethod
-    def config(tmp_path, dataset):
+    def config(tmp_path, dataset, classes=2):
         rng = np.random.default_rng(0)
         if dataset == "csv":
-            save_csv(synth_blobs(2, 75, 8, 0.3, rng), tmp_path / "data.csv")
+            save_csv(synth_blobs(classes, 75, 8, 0.3, rng), tmp_path / "data.csv")
             return replace(BASE, iterations=2, dataset="csv", csv_path=str(tmp_path / "data.csv"))
         images = rng.integers(0, 256, size=(140, 3, 3), dtype=np.uint8)
-        labels = np.arange(140) % 2
+        labels = np.arange(140) % classes
         train_images, train_labels = write_idx_pair(tmp_path, images[:100], labels[:100], prefix="train_")
         test_images, test_labels = write_idx_pair(tmp_path, images[100:], labels[100:], prefix="test_")
         return replace(
@@ -184,6 +161,15 @@ class TestFileDatasets:
         assert metrics_csv_lines(runs[0].records) == metrics_csv_lines(runs[1].records)
         assert runs[0].final_weights.tobytes() == runs[1].final_weights.tobytes()
 
+    @pytest.mark.parametrize("dataset", ["idx", "csv"])
+    def test_classes_that_do_not_divide_the_devices_are_rejected_at_set_up(self, tmp_path, dataset):
+        config = self.config(tmp_path, dataset, classes=3)  # BASE has 10 devices
+        config.validate()  # the class count is known only once the file is read
+        reports = []
+        with pytest.raises(ConfigError, match="3 classes"):
+            run_experiment(config, on_iteration=reports.append)
+        assert reports == []
+
 
 def test_on_iteration_reports_each_iteration(monkeypatch):
     received = []
@@ -203,7 +189,10 @@ def test_on_iteration_reports_each_iteration(monkeypatch):
     assert len(received) == 4 * k
     for t, report in enumerate(reports[:-1]):
         assert all(np.array_equal(w, report.new_global) for w in received[(t + 1) * k : (t + 2) * k])
+    # the last iterate is the final model
     assert np.array_equal(reports[-1].new_global, trial.final_weights)
+    assert trial.final_test_error == trial.records[-1].test_error
+    assert trial.final_validation_error == trial.records[-1].validation_error
     for report in reports:
         assert len(report.sampled) == report.models.shape[0] == k
         assert len(report.defense.survivors) == k - len(report.defense.removed)
@@ -214,9 +203,6 @@ class TestConfigMapping:
         assert set(OPTIONAL_FIELDS) == {
             "devices_per_round",
             "assumed_compromised",
-            "trim_count",
-            "selection_count",
-            "average_count",
             "attack_rule",
         }
 
@@ -234,5 +220,7 @@ class TestConfigMapping:
         assert cleared == replace(config, **{name: None for name in OPTIONAL_FIELDS})
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_mapping({"rounds": "3"})
+        for name in ("rounds", "trim_count", "selection_count", "average_count", "support_radius", "interval_factor",
+                     "shift_floor", "poison_fraction", "selection", "csv_classes"):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                config_from_mapping({name: "3"})
