@@ -27,16 +27,15 @@ _DIRECT_PAIRWISE_LIMIT = 1 << 24
 class AggregatorSpec:
     """Which rule to run and its parameters.
 
-    ``assumed_compromised`` is the defender's upper bound c used by Krum and
-    Bulyan; ``trim_count`` is the per-side trim for trimmed mean;
-    ``selection_count``/``average_count`` are Bulyan's theta and gamma.
+    ``assumed_compromised`` is the defender's upper bound c, which Krum and
+    Bulyan use and the rejection defenses remove; ``trim_count`` is the
+    per-side trim beta of trimmed mean.  Bulyan's theta and gamma are not
+    parameters: :func:`bulyan_counts` derives them from each model set.
     """
 
     rule: str
     assumed_compromised: int = 0
     trim_count: int = 0
-    selection_count: int = 0
-    average_count: int = 0
 
     def __post_init__(self):
         if self.rule not in RULES:
@@ -45,7 +44,8 @@ class AggregatorSpec:
     def validate(self, num_models: int) -> None:
         """Check rule parameters against the size of the model set.
 
-        Every rule calls this; it is the only check of c, beta, theta and gamma.
+        It is the only check of c and beta.  For Bulyan it checks m >= 4c+1,
+        which is gamma >= 1 for the counts of :func:`bulyan_counts`.
         """
         m, c = num_models, self.assumed_compromised
         if m < 1:
@@ -54,12 +54,14 @@ class AggregatorSpec:
             raise ValueError(f"krum needs m >= c+3 (m={m}, c={c})")
         if self.rule == "trimmed_mean" and not 0 <= self.trim_count < m / 2:
             raise ValueError(f"trim count must satisfy 0 <= beta < m/2 (m={m}, beta={self.trim_count})")
-        if self.rule == "bulyan":
-            theta, gamma = self.selection_count, self.average_count
-            if not 1 <= theta <= m - 2 * c:
-                raise ValueError(f"bulyan selection count must satisfy 1 <= theta <= m-2c (m={m}, c={c})")
-            if not 1 <= gamma <= theta - 2 * c:
-                raise ValueError("bulyan average count must satisfy 1 <= gamma <= theta-2c")
+        if self.rule == "bulyan" and m < 4 * c + 1:
+            raise ValueError(f"bulyan needs m >= 4c+1 (m={m}, c={c})")
+
+
+def bulyan_counts(num_models: int, assumed_compromised: int) -> tuple[int, int]:
+    """Bulyan's selection count theta = m - 2c and average count gamma = theta - 2c for m models."""
+    theta = num_models - 2 * assumed_compromised
+    return theta, theta - 2 * assumed_compromised
 
 
 def pairwise_sq_dists(models: np.ndarray) -> np.ndarray:
@@ -133,29 +135,26 @@ def median(models) -> np.ndarray:
 
 def bulyan(models, assumed_compromised: int, selection_count: int, average_count: int) -> np.ndarray:
     """Krum-select ``selection_count`` models, then per coordinate average the
-    ``average_count`` values closest to their median.
+    ``average_count`` values closest to their median.  :func:`aggregate`
+    passes the counts of :func:`bulyan_counts`.
 
     Distance-to-median ties keep selection order (stable sort), and the inner
     Krum's neighbour count clips at zero once few models remain.
     """
     sq = pairwise_sq_dists(models)
-    m = sq.shape[0]
-    AggregatorSpec(
-        "bulyan",
-        assumed_compromised=assumed_compromised,
-        selection_count=selection_count,
-        average_count=average_count,
-    ).validate(m)
+    m, c, theta, gamma = sq.shape[0], assumed_compromised, selection_count, average_count
+    if not 1 <= gamma <= theta - 2 * c <= m - 4 * c:
+        raise ValueError(f"bulyan needs 1 <= gamma <= theta-2c <= m-4c (m={m}, c={c}, theta={theta}, gamma={gamma})")
 
     remaining, selected = list(range(m)), []
-    for _ in range(selection_count):
-        selected.append(krum_select(sq, remaining, assumed_compromised))
+    for _ in range(theta):
+        selected.append(krum_select(sq, remaining, c))
         remaining.remove(selected[-1])
 
     chosen = np.asarray(models, dtype=np.float64)[selected]
-    med = _window_mean(chosen, (selection_count - 1) // 2)
+    med = _window_mean(chosen, (theta - 1) // 2)
     dist_to_med = np.abs(chosen - med)
-    order = np.argsort(dist_to_med, axis=0, kind="stable")[:average_count]
+    order = np.argsort(dist_to_med, axis=0, kind="stable")[:gamma]
     closest = np.take_along_axis(chosen, order, axis=0)
     return closest.mean(axis=0)
 
@@ -170,4 +169,4 @@ def aggregate(spec: AggregatorSpec, models) -> np.ndarray:
         return trimmed_mean(models, spec.trim_count)
     if spec.rule == "median":
         return median(models)
-    return bulyan(models, spec.assumed_compromised, spec.selection_count, spec.average_count)
+    return bulyan(models, spec.assumed_compromised, *bulyan_counts(len(models), spec.assumed_compromised))

@@ -3,8 +3,9 @@
 Config files are flat ``key = value`` text mirroring ExperimentConfig field
 names; ``--set key=value`` flags override file values.  ``sweep`` varies any
 one field.  Outputs are one metrics CSV per trial plus a summary CSV, with
-stable columns.  Each command validates all of its configs before the first
-run, so a rejected config exits with status 2 having run and written nothing.
+stable columns.  Each command runs the set-up checks of all of its configs
+before the first run, so a rejected config exits with status 2 having run and
+written nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from flrlab.harness import (
     ExperimentConfig,
     config_from_mapping,
     config_hash,
+    device_shards,
     format_float,
+    load_data,
     run_experiment,
     write_summary_csv,
     write_trial_csv,
@@ -76,13 +79,15 @@ def cmd_run(args) -> int:
 
 
 def _run_matrix(rows, out_dir: Path, table: str, key_header: str) -> list[float]:
-    """Validate every (tag, key, config) row, then run each in order.
+    """Run every (tag, key, config) row's set-up checks, then run each in order.
 
     Each run writes its CSVs under the ``tag`` prefix; ``table`` gets one
     ``key,mean_final_test_error`` line per row.  Returns the errors in row order.
     """
     for _, _, config in rows:
-        config.validate()
+        train, _ = load_data(config)
+        for trial in range(config.trials):
+            device_shards(config, train, trial)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines, errors = [f"{key_header},mean_final_test_error"], []
     for tag, key, config in rows:

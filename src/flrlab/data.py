@@ -71,30 +71,6 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Assignment of every training instance to one of m worker devices."""
-
-    assignment: np.ndarray
-    num_devices: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.assignment, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError("assignment must be 1-D")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.num_devices):
-            raise ValueError("device index out of range")
-        object.__setattr__(self, "assignment", arr)
-        arr.setflags(write=False)
-
-    def shard(self, device: int) -> np.ndarray:
-        """Instance indices owned by one device."""
-        return np.flatnonzero(self.assignment == device)
-
-    def shards(self) -> list[np.ndarray]:
-        return [self.shard(i) for i in range(self.num_devices)]
-
-
 def _read_be_u32(buf: bytes, offset: int, path: Path) -> int:
     if offset + 4 > len(buf):
         raise TruncatedPayloadError(f"{path}: truncated header")
@@ -245,8 +221,8 @@ def partition_noniid(
     num_devices: int,
     label_bias: float,
     rng: np.random.Generator,
-) -> Partition:
-    """Assign instances to devices with label-group affinity ``label_bias``.
+) -> np.ndarray:
+    """The device of each instance, assigned with label-group affinity ``label_bias``.
 
     Devices are split into L equal contiguous groups.  An instance with
     label l lands in group l with probability ``label_bias`` and otherwise
@@ -265,7 +241,7 @@ def partition_noniid(
     offsets = rng.integers(1, L, size=n)
     groups = np.where(stay, dataset.labels, (dataset.labels + offsets) % L)
     within = rng.integers(0, group_size, size=n)
-    return Partition(groups * group_size + within, num_devices)
+    return groups * group_size + within
 
 
 def sample_batch(shard_size: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,15 +2,17 @@
 
 ERR drops the c local models whose inclusion raises the validation error
 rate the most, LFR the ones that raise the validation cross-entropy the
-most, and Union drops anything either would.  Impacts are leave-one-out:
-aggregate with and without each model and compare on a small validation
-set held by the master.  The defenses never see which devices are actually
-compromised.
+most, and Union drops anything either would.  c is the aggregator spec's
+``assumed_compromised``, the same bound the rule itself assumes.  Impacts
+are leave-one-out: aggregate with and without each model and compare on a
+small validation set held by the master.  The defenses never see which
+devices are actually compromised.
 
 The m leave-one-out aggregates do not rerun the rule m times except under
-Bulyan.  Mean, trimmed mean and median sort each column once and subtract
-one clipped value per model from the sum of one window; Krum selects within
-rows of one pairwise distance matrix.
+Bulyan, whose theta and gamma follow each subset's m-1 models.  Mean,
+trimmed mean and median sort each column once and subtract one clipped
+value per model from the sum of one window; Krum selects within rows of
+one pairwise distance matrix.
 """
 
 from __future__ import annotations
@@ -29,38 +31,22 @@ DEFENSE_KINDS = ("none", "err", "lfr", "union")
 
 @dataclass(frozen=True)
 class DefenseSpec:
-    """Which filter to run, how many models it removes, and the validation data."""
+    """Which filter to run and the master's validation data."""
 
     kind: str
-    removal_count: int
     validation: Dataset | None = None
 
     def __post_init__(self):
         if self.kind not in DEFENSE_KINDS:
             raise ValueError(f"unknown defense kind {self.kind!r}")
-        if self.kind != "none":
-            if self.removal_count < 1:
-                raise ValueError("defense removal count must be positive")
-            if self.validation is None or len(self.validation) == 0:
-                raise ValueError(f"{self.kind} defense needs a non-empty validation set")
-
-
-@dataclass(frozen=True)
-class ImpactRecord:
-    """Leave-one-out impact of a single device's local model."""
-
-    device: int
-    error_impact: float
-    loss_impact: float
+        if self.kind != "none" and (self.validation is None or len(self.validation) == 0):
+            raise ValueError(f"{self.kind} defense needs a non-empty validation set")
 
 
 @dataclass(frozen=True)
 class DefenseOutcome:
     survivors: np.ndarray
     removed: tuple[int, ...]
-    records: tuple[ImpactRecord, ...]
-    removed_by_error: tuple[int, ...] = ()
-    removed_by_loss: tuple[int, ...] = ()
 
 
 def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
@@ -110,42 +96,33 @@ def impact_scores(
     agg_spec: AggregatorSpec,
     model_spec: ModelSpec,
     validation: Dataset,
-) -> list[ImpactRecord]:
-    """Error-rate and loss impact of each local model on the validation set."""
+) -> np.ndarray:
+    """(m, 2) leave-one-out impacts on the validation set: row i holds how much
+    model i raises the aggregate's error rate (column 0) and loss (column 1)."""
     arr = np.asarray(models, dtype=np.float64)
     if len(arr) < 2:
         raise ValueError("leave-one-out impacts need at least two models")
     val_objective = shard_objective(model_spec, validation)
-    scores = [
-        (error_rate(model_spec, w, validation), loss(val_objective, w))
-        for w in _loo_aggregates(arr, agg_spec)  # checks the matrix
-    ]
-    err_all, loss_all = scores[0]
-    return [ImpactRecord(i, err_all - err_w, loss_all - loss_w) for i, (err_w, loss_w) in enumerate(scores[1:])]
-
-
-def _largest_impacts(records: list[ImpactRecord], key, count: int) -> tuple[int, ...]:
-    """Devices with the ``count`` largest impacts; ties drop lower indices first."""
-    impacts = np.asarray([key(r) for r in records])
-    order = np.argsort(-impacts, kind="stable")
-    return tuple(sorted(int(records[i].device) for i in order[:count]))
+    scores = np.array(
+        [
+            (error_rate(model_spec, w, validation), loss(val_objective, w))
+            for w in _loo_aggregates(arr, agg_spec)  # checks the matrix
+        ]
+    )
+    return scores[0] - scores[1:]
 
 
 def apply_defense(models, agg_spec: AggregatorSpec, model_spec: ModelSpec, spec: DefenseSpec) -> DefenseOutcome:
-    """Remove the ``removal_count`` models with the largest error impact (ERR),
-    loss impact (LFR), or either (Union: the union of the two removals)."""
+    """Remove the c = ``agg_spec.assumed_compromised`` models with the largest
+    error impact (ERR), loss impact (LFR), or either (Union: the union of the
+    two removals).  Ties remove lower indices first."""
     if spec.kind == "none":
-        return DefenseOutcome(survivors=as_model_matrix(models), removed=(), records=())
-    records = impact_scores(models, agg_spec, model_spec, spec.validation)  # checks the matrix
+        return DefenseOutcome(as_model_matrix(models), ())
+    impacts = impact_scores(models, agg_spec, model_spec, spec.validation)  # checks the matrix
+    m, c = len(impacts), agg_spec.assumed_compromised
+    if not 1 <= c < m:
+        raise ValueError(f"cannot remove {c} of {m} models")
+    columns = {"err": [0], "lfr": [1], "union": [0, 1]}[spec.kind]
+    removed = np.unique(np.argsort(-impacts[:, columns], axis=0, kind="stable")[:c])
     arr = np.asarray(models, dtype=np.float64)
-    if spec.removal_count >= arr.shape[0]:
-        raise ValueError(f"cannot remove {spec.removal_count} of {arr.shape[0]} models")
-    by_error = by_loss = ()
-    if spec.kind != "lfr":
-        by_error = _largest_impacts(records, lambda r: r.error_impact, spec.removal_count)
-    if spec.kind != "err":
-        by_loss = _largest_impacts(records, lambda r: r.loss_impact, spec.removal_count)
-    removed = tuple(sorted(set(by_error) | set(by_loss)))
-    mask = np.ones(arr.shape[0], dtype=bool)
-    mask[list(removed)] = False
-    return DefenseOutcome(arr[mask], removed, tuple(records), by_error, by_loss)
+    return DefenseOutcome(np.delete(arr, removed, axis=0), tuple(int(i) for i in removed))

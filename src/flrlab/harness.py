@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, get_args, get_type_hints
 
 import numpy as np
@@ -56,9 +56,10 @@ class ExperimentConfig:
 
     Only what a caller varies is a field.  The rest follows the paper:
 
-    - ``aggregator_spec`` derives the rule parameters from the assumed
-      compromised count c: trimmed mean trims beta = c per side, and Bulyan
-      selects theta = num_devices - 2c and averages gamma = theta - 2c;
+    - the assumed compromised count c is the only count the rule and the
+      defense carry: trimmed mean trims beta = c per side, Bulyan selects
+      theta = m - 2c and averages gamma = theta - 2c of the m models each
+      call aggregates, and a defense removes c models (Union up to 2c);
     - the crafted attacks use the constants ``SUPPORT_RADIUS``,
       ``INTERVAL_FACTOR`` and ``SHIFT_FLOOR`` of ``flrlab.attacks``;
     - every iteration of a run with an attack is attacked;
@@ -159,7 +160,7 @@ class ExperimentConfig:
             raise ConfigError(f"the {self.defense} defense removes c models; c must be positive")
         # Model counts the rule must aggregate: k always; with a defense on, also k-1
         # (leave-one-out) and k-c (survivors), plus k-2c for Union, which can remove up
-        # to 2c.  Set-up checks only what depends on the data: file class counts, empty shards.
+        # to 2c.  Set-up checks only what depends on the data (load_data, device_shards).
         counts = [k]
         if self.defense != "none":
             counts += [k - 1, k - c] + ([k - 2 * c] if self.defense == "union" else [])
@@ -178,14 +179,7 @@ class ExperimentConfig:
 
     def aggregator_spec(self) -> AggregatorSpec:
         c = self.resolved_assumed()
-        theta = self.num_devices - 2 * c
-        return AggregatorSpec(
-            self.rule,
-            assumed_compromised=c,
-            trim_count=c,
-            selection_count=theta,
-            average_count=theta - 2 * c,
-        )
+        return AggregatorSpec(self.rule, assumed_compromised=c, trim_count=c)
 
     def attack_spec(self) -> AttackSpec:
         return AttackSpec(target_rule=self.attack_rule or self.rule, objective=self.objective)
@@ -225,8 +219,7 @@ class TrialState:
     validation: Dataset
     stream: RngStream
     weights: np.ndarray
-    objectives: list = field(default_factory=list)
-    flipped_objectives: dict = field(default_factory=dict)
+    objectives: list  # one per device
 
 
 def sample_devices(num_devices: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -282,26 +275,14 @@ def run_iteration(
     else:
         sampled = np.arange(m)
     present = int(np.sum(sampled < config.compromised))
-    flip_active = config.attack == "label_flip"
 
-    updates = []
-    for dev in sampled:
-        dev = int(dev)
-        if flip_active and dev < config.compromised:
-            objective = state.flipped_objectives[dev]
-        else:
-            objective = state.objectives[dev]
-        updates.append(
-            local_update(
-                objective,
-                w_received,
-                config.learning_rate,
-                config.local_rounds,
-                config.batch_size,
-                it_stream.child(f"device{dev}").generator(),
-            )
-        )
-    models = np.stack(updates)
+    models = np.stack(
+        [
+            local_update(state.objectives[dev], w_received, config.learning_rate, config.local_rounds,
+                         config.batch_size, it_stream.child(f"device{dev}").generator())
+            for dev in sampled.tolist()
+        ]
+    )
 
     shift = None
     if present > 0 and config.attack in ("gaussian", "craft"):
@@ -317,7 +298,7 @@ def run_iteration(
     agg_input = models
     removed: tuple[int, ...] = ()
     if config.defense != "none":
-        defense_spec = DefenseSpec(config.defense, config.resolved_assumed(), state.validation)
+        defense_spec = DefenseSpec(config.defense, state.validation)
         outcome = apply_defense(models, state.agg_spec, state.model_spec, defense_spec)
         agg_input = outcome.survivors
         removed = tuple(sorted(int(sampled[i]) for i in outcome.removed))
@@ -403,6 +384,17 @@ def _carve_validation(test: Dataset, size: int, rng: np.random.Generator) -> Dat
     return test.subset(picked)
 
 
+def device_shards(config: ExperimentConfig, train: Dataset, trial_index: int) -> list[np.ndarray]:
+    """Each device's training instance indices in one trial; ConfigError if a device gets none."""
+    rng = RngStream(config.seed, f"trial{trial_index}").child("partition").generator()
+    assignment = partition_noniid(train, config.num_devices, config.label_bias, rng)
+    shards = [np.flatnonzero(assignment == dev) for dev in range(config.num_devices)]
+    empty = [dev for dev, shard in enumerate(shards) if shard.size == 0]
+    if empty:
+        raise ConfigError(f"devices {empty} received no training instances; use more data or fewer devices")
+    return shards
+
+
 def run_trial(
     config: ExperimentConfig,
     train: Dataset,
@@ -413,31 +405,21 @@ def run_trial(
     """Run one seeded trial of the full federated loop."""
     stream = RngStream(config.seed, f"trial{trial_index}")
     model_spec = config.model_spec(train)
-    agg_spec = config.aggregator_spec()
-
-    partition = partition_noniid(train, config.num_devices, config.label_bias, stream.child("partition").generator())
-    shards = partition.shards()
-    empty = [i for i, shard in enumerate(shards) if shard.size == 0]
-    if empty:
-        raise ConfigError(f"devices {empty} received no training instances; use more data or fewer devices")
-
-    validation = _carve_validation(test, config.validation_size, stream.child("validation").generator())
-
+    flipped = flip_labels(train) if config.attack == "label_flip" else train
+    objectives = [
+        shard_objective(model_spec, flipped if dev < config.compromised else train, shard)
+        for dev, shard in enumerate(device_shards(config, train, trial_index))
+    ]
     state = TrialState(
         model_spec=model_spec,
-        agg_spec=agg_spec,
+        agg_spec=config.aggregator_spec(),
         train=train,
         test=test,
-        validation=validation,
+        validation=_carve_validation(test, config.validation_size, stream.child("validation").generator()),
         stream=stream,
         weights=init_params(model_spec, stream.child("init").generator()),
+        objectives=objectives,
     )
-    state.objectives = [shard_objective(model_spec, train, shard) for shard in shards]
-    if config.attack == "label_flip":
-        flipped = flip_labels(train)
-        state.flipped_objectives = {
-            dev: shard_objective(model_spec, flipped, shards[dev]) for dev in range(config.compromised)
-        }
 
     records: list[MetricsRecord] = []
     for t in range(config.iterations):
@@ -454,13 +436,11 @@ def run_trial(
     )
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    train: Dataset | None = None,
-    test: Dataset | None = None,
-    on_iteration: Callable[[IterationReport], None] | None = None,
-) -> ExperimentResult:
-    """Run all trials of an experiment; datasets may be supplied or built from config."""
+def load_data(
+    config: ExperimentConfig, train: Dataset | None = None, test: Dataset | None = None
+) -> tuple[Dataset, Dataset]:
+    """Validate the config, build (train, test) unless supplied, and check that
+    the data's class count divides the devices (:func:`device_shards` checks each trial's shards)."""
     config.validate()
     if (train is None) != (test is None):
         raise ValueError("supply both train and test datasets, or neither")
@@ -468,6 +448,17 @@ def run_experiment(
         train, test = build_datasets(config)
     if config.num_devices % train.num_classes:
         raise ConfigError(f"the {train.num_classes} classes of the data do not divide the {config.num_devices} devices")
+    return train, test
+
+
+def run_experiment(
+    config: ExperimentConfig,
+    train: Dataset | None = None,
+    test: Dataset | None = None,
+    on_iteration: Callable[[IterationReport], None] | None = None,
+) -> ExperimentResult:
+    """Run all trials of an experiment; datasets may be supplied or built from config."""
+    train, test = load_data(config, train, test)
     results = tuple(
         run_trial(config, train, test, trial, on_iteration=on_iteration) for trial in range(config.trials)
     )

@@ -6,6 +6,7 @@ from flrlab.aggregation import (
     AggregatorSpec,
     aggregate,
     bulyan,
+    bulyan_counts,
     krum,
     krum_scores,
     krum_select,
@@ -198,6 +199,25 @@ class TestBulyan:
         with pytest.raises(ValueError):
             bulyan(models, 2, 5, 2)  # gamma > theta - 2c
 
+    @pytest.mark.parametrize("c", [0, 1, 2])
+    def test_counts_follow_the_model_count(self, c):
+        rng = RngStream(c, "bulyan-counts").generator()
+        spec = AggregatorSpec("bulyan", assumed_compromised=c)
+        for m in range(4 * c + 1, 4 * c + 7):
+            assert bulyan_counts(m, c) == (m - 2 * c, m - 4 * c)
+            models = random_models(rng, m=m, d=4)
+            expected = oracle_bulyan(models.tolist(), c, m - 2 * c, m - 4 * c)
+            assert np.allclose(aggregate(spec, models), expected, rtol=0, atol=1e-12), m
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_fewer_than_4c_plus_1_models_rejected(self, c):
+        spec = AggregatorSpec("bulyan", assumed_compromised=c)
+        with pytest.raises(ValueError, match="4c"):
+            aggregate(spec, np.zeros((4 * c, 2)))
+        with pytest.raises(ValueError):
+            spec.validate(4 * c)
+        spec.validate(4 * c + 1)
+
 
 def valid_random_instance(rng):
     """Random (models, specs) obeying every rule's parameter constraints."""
@@ -303,7 +323,7 @@ class TestAggregateDispatch:
         assert np.array_equal(aggregate(spec, models), trimmed_mean(models, 2))
         spec = AggregatorSpec("krum", assumed_compromised=2)
         assert np.array_equal(aggregate(spec, models), krum(models, 2)[1])
-        spec = AggregatorSpec("bulyan", assumed_compromised=1, selection_count=5, average_count=3)
+        spec = AggregatorSpec("bulyan", assumed_compromised=1)  # theta = 7-2 = 5, gamma = 5-2 = 3
         assert np.array_equal(aggregate(spec, models), bulyan(models, 1, 5, 3))
 
     def test_validation_errors(self):

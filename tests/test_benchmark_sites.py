@@ -1,9 +1,11 @@
-"""The benchmark's tracer patches flrlab call sites by name, and its workloads
-and checks read config fields by name; a rename or removal that drops one
-would only show when someone runs ``perfbench/run.py``."""
+"""The benchmark's tracer patches flrlab call sites by name, its workloads
+and checks read config fields by name, and its kernels call flrlab functions
+with fixed signatures; a rename or removal that drops one would only show
+when someone runs ``perfbench/run.py``."""
 
 import importlib
 import importlib.util
+import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -52,3 +54,17 @@ def test_aggregator_spec_has_what_the_checks_read(workload):
     spec = ExperimentConfig(**workload_settings(workload)).aggregator_spec()
     for name in ("rule", "assumed_compromised", "trim_count"):
         assert hasattr(spec, name), f"aggregator_spec() has no {name}"
+
+
+def call_once(fn, *args, **kwargs) -> float:
+    fn()
+    return 0.0
+
+
+def test_kernels_run_and_match_the_benchmark_metrics(monkeypatch):
+    kernels = load_perfbench("kernels")
+    monkeypatch.setattr(kernels, "_time_us", call_once)  # each kernel called once, not timed
+    names = set(kernels.run_kernels(0))
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    expected = {m["name"] for m in declared["per_layer"] if m["name"].startswith("kernel.")}
+    assert names == expected

@@ -83,12 +83,14 @@ def test_rejected_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        # bulyan cannot aggregate the 9-model leave-one-out sets of ERR; six median and bulyan runs come first
+        # bulyan (m >= 4c+1 = 9) cannot aggregate ERR's 8 survivors; six median and bulyan runs come first
         ["defend", "--actual", "median,bulyan", "--defenses", "none,err", "--assumed", "trimmed_mean", "--knowledge", "full"],
         # 5 of 10 devices is not fewer than half; the run with 1 comes first
         ["sweep", "--param", "compromised", "--values", "1,5"],
         ["sweep", "--param", "csv_path", "--values", "data.csv,data/train.csv"],
         ["sweep", "--param", "rounds", "--values", "1"],
+        # 4 training instances leave devices without data, a set-up check; the run with 50 comes first
+        ["sweep", "--param", "synth_per_class", "--values", "50,2"],
     ],
 )
 def test_rejected_matrix_runs_nothing(tmp_path, capsys, args):

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flrlab.aggregation import AggregatorSpec, aggregate
+from flrlab.aggregation import AggregatorSpec, aggregate, bulyan
 from flrlab.core import RngStream
 from flrlab.data import Dataset, synth_blobs
 from flrlab.defenses import (
@@ -25,6 +27,11 @@ def model_spec():
     return ModelSpec("lr", 2, 2)
 
 
+def mean_spec(c: int) -> AggregatorSpec:
+    """The mean rule with c assumed compromised: the count the defenses remove."""
+    return AggregatorSpec("mean", assumed_compromised=c)
+
+
 def trained_models(validation, model_spec, count=6, noise=0.2, seed=5):
     """A population of sensible local models around one trained solution."""
     rng = RngStream(seed, "defense-models").generator()
@@ -40,23 +47,24 @@ def trained_models(validation, model_spec, count=6, noise=0.2, seed=5):
 class TestImpactScores:
     def test_identical_models_zero_impact(self, validation, model_spec):
         models = np.tile(np.linspace(-1, 1, model_spec.dim), (5, 1))
-        records = impact_scores(models, AggregatorSpec("mean"), model_spec, validation)
-        assert all(r.error_impact == 0 and abs(r.loss_impact) < 1e-12 for r in records)
+        impacts = impact_scores(models, AggregatorSpec("mean"), model_spec, validation)
+        assert impacts.shape == (5, 2)
+        assert np.all(impacts[:, 0] == 0) and np.all(np.abs(impacts[:, 1]) < 1e-12)
 
     def test_mean_rule_matches_closed_form(self, validation, model_spec):
         rng = RngStream(6, "d").generator()
         models = rng.standard_normal((7, model_spec.dim))
-        records = impact_scores(models, AggregatorSpec("mean"), model_spec, validation)
+        impacts = impact_scores(models, AggregatorSpec("mean"), model_spec, validation)
         loo = oracle_leave_one_out_mean(models.tolist())
         obj = shard_objective(model_spec, validation)
         full_mean = models.mean(axis=0)
-        for r, without in zip(records, loo):
+        for (error_impact, loss_impact), without in zip(impacts, loo):
             expect_err = error_rate(model_spec, full_mean, validation) - error_rate(
                 model_spec, np.asarray(without), validation
             )
             expect_loss = loss(obj, full_mean) - loss(obj, np.asarray(without))
-            assert r.error_impact == pytest.approx(expect_err, abs=1e-12)
-            assert r.loss_impact == pytest.approx(expect_loss, abs=1e-12)
+            assert error_impact == pytest.approx(expect_err, abs=1e-12)
+            assert loss_impact == pytest.approx(expect_loss, abs=1e-12)
 
     def test_krum_fast_path_matches_rule_rerun(self, validation, model_spec, monkeypatch):
         from flrlab import aggregation, defenses
@@ -73,16 +81,16 @@ class TestImpactScores:
 
         monkeypatch.setattr(aggregation, "pairwise_sq_dists", counted)
         monkeypatch.setattr(defenses, "pairwise_sq_dists", counted)
-        records = impact_scores(models, spec, model_spec, validation)
+        impacts = impact_scores(models, spec, model_spec, validation)
         assert calls == [8]  # one distance matrix serves the full aggregate and every subset
         monkeypatch.undo()
 
         obj = shard_objective(model_spec, validation)
         full = aggregate(spec, models)
-        for i, r in enumerate(records):
+        for i, (error_impact, loss_impact) in enumerate(impacts):
             _, without = krum(np.delete(models, i, axis=0), 2)
-            assert r.error_impact == error_rate(model_spec, full, validation) - error_rate(model_spec, without, validation)
-            assert r.loss_impact == loss(obj, full) - loss(obj, without)
+            assert error_impact == error_rate(model_spec, full, validation) - error_rate(model_spec, without, validation)
+            assert loss_impact == loss(obj, full) - loss(obj, without)
 
     def test_window_rules_make_one_aggregate_call(self, validation, model_spec, monkeypatch):
         from flrlab import defenses
@@ -107,13 +115,22 @@ class TestImpactScores:
         perm = rng.permutation(6)
         direct = impact_scores(models, AggregatorSpec("mean"), model_spec, validation)
         permuted = impact_scores(models[perm], AggregatorSpec("mean"), model_spec, validation)
-        for pos, orig in enumerate(perm):
-            assert permuted[pos].loss_impact == pytest.approx(direct[orig].loss_impact, abs=1e-12)
-            assert permuted[pos].error_impact == pytest.approx(direct[orig].error_impact, abs=1e-12)
+        assert np.allclose(permuted, direct[perm], rtol=0, atol=1e-12)
 
     def test_needs_two_models(self, validation, model_spec):
         with pytest.raises(ValueError):
             impact_scores(np.zeros((1, model_spec.dim)), AggregatorSpec("mean"), model_spec, validation)
+
+
+    @pytest.mark.parametrize("m, c", [(6, 1), (8, 1), (10, 2), (12, 2)])
+    def test_bulyan_subsets_take_their_own_counts(self, m, c):
+        # every leave-one-out set has m-1 models: theta = m-1-2c, gamma = theta-2c
+        models = RngStream(m, "loo-bulyan").generator().standard_normal((m, 5))
+        loo = list(_loo_aggregates(models, AggregatorSpec("bulyan", assumed_compromised=c)))
+        assert np.array_equal(loo[0], bulyan(models, c, m - 2 * c, m - 4 * c))
+        theta = m - 1 - 2 * c
+        for i, without in enumerate(loo[1:]):
+            assert np.array_equal(without, bulyan(np.delete(models, i, 0), c, theta, theta - 2 * c))
 
 
 class TestDefendErr:
@@ -122,22 +139,20 @@ class TestDefendErr:
         # an inverted, amplified model flips the mean's predictions; note a
         # constant-shift model would be harmless (softmax shift invariance)
         models[3] = -6.0 * models[0]
-        spec = DefenseSpec("err", 1, validation)
-        outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, spec)
-        assert outcome.removed == outcome.removed_by_error == (3,)
-        assert outcome.removed_by_loss == ()
+        outcome = apply_defense(models, mean_spec(1), model_spec, DefenseSpec("err", validation))
+        assert outcome.removed == (3,)
         assert outcome.survivors.shape == (5, model_spec.dim)
 
     def test_survivor_count(self, validation, model_spec):
         models = trained_models(validation, model_spec, count=8)
         for c in (1, 2, 3):
-            outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("err", c, validation))
+            outcome = apply_defense(models, mean_spec(c), model_spec, DefenseSpec("err", validation))
             assert len(outcome.removed) == c
             assert outcome.survivors.shape[0] == 8 - c
 
     def test_ties_remove_lowest_indices(self, validation, model_spec):
         models = np.tile(np.linspace(0, 1, model_spec.dim), (6, 1))
-        outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("err", 2, validation))
+        outcome = apply_defense(models, mean_spec(2), model_spec, DefenseSpec("err", validation))
         assert outcome.removed == (0, 1)
 
 
@@ -145,13 +160,12 @@ class TestDefendLfr:
     def test_huge_parameters_removed(self, validation, model_spec):
         models = trained_models(validation, model_spec)
         models[4] = 1e4
-        outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("lfr", 1, validation))
-        assert outcome.removed == outcome.removed_by_loss == (4,)
-        assert outcome.removed_by_error == ()
+        outcome = apply_defense(models, mean_spec(1), model_spec, DefenseSpec("lfr", validation))
+        assert outcome.removed == (4,)
 
     def test_identical_models_remove_by_index(self, validation, model_spec):
         models = np.tile(np.linspace(0, 1, model_spec.dim), (6, 1))
-        outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("lfr", 3, validation))
+        outcome = apply_defense(models, mean_spec(3), model_spec, DefenseSpec("lfr", validation))
         assert outcome.removed == (0, 1, 2)
 
 
@@ -160,22 +174,19 @@ class TestDefendUnion:
         rng = RngStream(9, "d").generator()
         models = trained_models(validation, model_spec, count=9)
         models += 0.05 * rng.standard_normal(models.shape)
-        agg = AggregatorSpec("mean")
-        spec = DefenseSpec("union", 2, validation)
-        err_set = set(apply_defense(models, agg, model_spec, DefenseSpec("err", 2, validation)).removed)
-        lfr_set = set(apply_defense(models, agg, model_spec, DefenseSpec("lfr", 2, validation)).removed)
-        outcome = apply_defense(models, agg, model_spec, spec)
+        agg = mean_spec(2)
+        err_set = set(apply_defense(models, agg, model_spec, DefenseSpec("err", validation)).removed)
+        lfr_set = set(apply_defense(models, agg, model_spec, DefenseSpec("lfr", validation)).removed)
+        outcome = apply_defense(models, agg, model_spec, DefenseSpec("union", validation))
         assert set(outcome.removed) == err_set | lfr_set
-        assert set(outcome.removed_by_error) == err_set
-        assert set(outcome.removed_by_loss) == lfr_set
-        assert spec.removal_count <= len(outcome.removed) <= 2 * spec.removal_count
+        assert 2 <= len(outcome.removed) <= 4
 
     def test_union_survivors_subset_of_each(self, validation, model_spec):
         models = trained_models(validation, model_spec, count=7, seed=11)
-        agg = AggregatorSpec("median")
-        union = apply_defense(models, agg, model_spec, DefenseSpec("union", 2, validation))
-        err = apply_defense(models, agg, model_spec, DefenseSpec("err", 2, validation))
-        lfr = apply_defense(models, agg, model_spec, DefenseSpec("lfr", 2, validation))
+        agg = AggregatorSpec("median", assumed_compromised=2)
+        union = apply_defense(models, agg, model_spec, DefenseSpec("union", validation))
+        err = apply_defense(models, agg, model_spec, DefenseSpec("err", validation))
+        lfr = apply_defense(models, agg, model_spec, DefenseSpec("lfr", validation))
         assert set(union.removed) >= set(err.removed)
         assert set(union.removed) >= set(lfr.removed)
 
@@ -183,22 +194,25 @@ class TestDefendUnion:
 class TestApplyDefense:
     def test_none_is_identity(self, validation, model_spec):
         models = trained_models(validation, model_spec)
-        outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("none", 0))
+        outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("none"))
         assert outcome.removed == ()
         assert np.array_equal(outcome.survivors, models)
 
     def test_spec_validation(self, validation):
         with pytest.raises(ValueError):
-            DefenseSpec("err", 0, validation)
+            DefenseSpec("lfr", None)
         with pytest.raises(ValueError):
-            DefenseSpec("lfr", 2, None)
-        with pytest.raises(ValueError):
-            DefenseSpec("gatekeeper", 1, validation)
+            DefenseSpec("gatekeeper", validation)
 
     def test_cannot_remove_everything(self, validation, model_spec):
         models = trained_models(validation, model_spec, count=3)
         with pytest.raises(ValueError):
-            apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("err", 3, validation))
+            apply_defense(models, mean_spec(3), model_spec, DefenseSpec("err", validation))
+
+    def test_must_remove_one(self, validation, model_spec):
+        models = trained_models(validation, model_spec, count=3)
+        with pytest.raises(ValueError):
+            apply_defense(models, mean_spec(0), model_spec, DefenseSpec("err", validation))
 
     def test_trimmed_mean_loo_configuration_error(self, validation, model_spec):
         # beta = 2 is fine for 5 models but invalid for the 4-model subsets
@@ -261,9 +275,9 @@ class TestWindowLeaveOneOut:
         obj = shard_objective(model_spec, validation)
         for _ in range(300):
             m = int(rng.integers(3, 13))
-            spec = window_specs(rng, m)[int(rng.integers(3))]
-            models = center + rng.uniform(0.1, 3.0) * rng.standard_normal((m, model_spec.dim))
             count = int(rng.integers(1, m))
+            spec = replace(window_specs(rng, m)[int(rng.integers(3))], assumed_compromised=count)
+            models = center + rng.uniform(0.1, 3.0) * rng.standard_normal((m, model_spec.dim))
             full = aggregate(spec, models)
             reruns = [aggregate(spec, np.delete(models, i, axis=0)) for i in range(m)]
             by_error = oracle_largest(
@@ -272,5 +286,5 @@ class TestWindowLeaveOneOut:
             by_loss = oracle_largest([loss(obj, full) - loss(obj, w) for w in reruns], count)
             expected = {"err": by_error, "lfr": by_loss, "union": tuple(sorted(set(by_error) | set(by_loss)))}
             for kind, removed in expected.items():
-                outcome = apply_defense(models, spec, model_spec, DefenseSpec(kind, count, validation))
+                outcome = apply_defense(models, spec, model_spec, DefenseSpec(kind, validation))
                 assert outcome.removed == removed, (kind, spec, m, count)

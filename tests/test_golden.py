@@ -5,9 +5,11 @@ settings on a 10-device federation with logistic regression, plus every rule
 with no attack and the full-knowledge crafted attack on a 4-unit MLP (keys
 prefixed ``mlp/``), plus the full-knowledge crafted attack against Krum and
 Bulyan on 50 features (keys prefixed ``f50/``), where every iteration finds a
-crafted shift.  ``golden_metrics.json`` holds the ``metrics_csv_lines``
-text of each config that runs; Bulyan under a defense cannot run at this size
-and is rejected by ``ExperimentConfig.validate``.
+crafted shift, plus Bulyan under each defense and the full-knowledge crafted
+attack on 20 devices (keys prefixed ``n20/``).  ``golden_metrics.json`` holds
+the ``metrics_csv_lines`` text of each config that runs.  Bulyan needs
+m >= 4c+1 = 9 models, so on 10 devices it cannot aggregate a defense's 8 or
+fewer survivors, and ``ExperimentConfig.validate`` rejects it under a defense.
 
 Re-record (only when a behaviour change is intended) with::
 
@@ -64,6 +66,13 @@ GRID.update(
         for rule in ("krum", "bulyan")
     }
 )
+GRID.update(
+    {
+        f"n20/bulyan/{defense}/craft-full": replace(BASE, num_devices=20, rule="bulyan", defense=defense,
+                                                    **ATTACKS["craft-full"])
+        for defense in ("err", "lfr", "union")
+    }
+)
 
 
 def csv_text(config: ExperimentConfig) -> str:
@@ -81,7 +90,7 @@ def test_metrics_csv_is_byte_identical(name):
 
 
 def test_grid_configs_without_golden_are_rejected_before_iteration_zero():
-    assert len(GOLDEN_CSV) == 97
+    assert len(GOLDEN_CSV) == 100
     skipped = sorted(set(GRID) - set(GOLDEN_CSV))
     assert skipped == sorted(
         f"bulyan/{defense}/{attack}" for defense in DEFENSE_KINDS if defense != "none" for attack in ATTACKS
@@ -89,6 +98,16 @@ def test_grid_configs_without_golden_are_rejected_before_iteration_zero():
     for name in skipped:
         with pytest.raises(ConfigError):
             GRID[name].validate()
+
+
+@pytest.mark.parametrize("sampled", [None, 15])
+@pytest.mark.parametrize("defense", DEFENSE_KINDS)
+@pytest.mark.parametrize("attack", sorted(ATTACKS))
+def test_bulyan_runs_whenever_every_count_is_at_least_4c_plus_1(attack, defense, sampled):
+    # 20 devices, c = 2: 15 or 20 sampled, 14 or 19 per leave-one-out set, 11 or more survivors
+    config = replace(BASE, num_devices=20, devices_per_round=sampled, rule="bulyan", defense=defense, **ATTACKS[attack])
+    records = run_experiment(config).trial_results[0].records
+    assert len(records) == config.iterations
 
 
 if __name__ == "__main__":

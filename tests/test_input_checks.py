@@ -50,7 +50,8 @@ MATRIX_ENTRIES = {
     "bulyan": lambda m: bulyan(m, 1, 3, 1),
     "aggregate": lambda m: aggregate(AggregatorSpec("trimmed_mean", trim_count=1), m),
     "impact_scores": lambda m: impact_scores(m, MEAN, SPEC, VALIDATION),
-    "apply_defense": lambda m: apply_defense(m, MEAN, SPEC, DefenseSpec("err", 1, VALIDATION)),
+    "apply_defense": lambda m: apply_defense(m, AggregatorSpec("mean", assumed_compromised=1), SPEC,
+                                             DefenseSpec("err", VALIDATION)),
     "krum_shift_upper_bound": lambda m: krum_shift_upper_bound(m, np.zeros(D), 1),
     "KnowledgeScope": lambda m: KnowledgeScope("full", m, np.zeros(D)),
     "attack_gaussian": lambda m: attack_gaussian(m, 1, np.random.default_rng(0)),
