@@ -50,6 +50,8 @@ class AggregatorSpec:
         m, c = num_models, self.assumed_compromised
         if m < 1:
             raise ValueError("empty model set")
+        if c < 0:
+            raise ValueError(f"the assumed compromised count must be non-negative (c={c})")
         if self.rule == "krum" and m < c + 3:
             raise ValueError(f"krum needs m >= c+3 (m={m}, c={c})")
         if self.rule == "trimmed_mean" and not 0 <= self.trim_count < m / 2:

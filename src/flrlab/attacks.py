@@ -275,7 +275,7 @@ def attack_gaussian(models, compromised_count: int, rng: np.random.Generator) ->
     return rng.normal(mu, sigma, size=(compromised_count, arr.shape[1]))
 
 
-def flip_labels(shard: Dataset, num_classes: int | None = None) -> Dataset:
-    """Label-flipping baseline: label l becomes L-1-l; features untouched."""
-    L = shard.num_classes if num_classes is None else num_classes
+def flip_labels(shard: Dataset) -> Dataset:
+    """Label-flipping baseline: label l becomes L-1-l for the shard's L classes; features untouched."""
+    L = shard.num_classes
     return Dataset(shard.features, L - 1 - shard.labels, L)

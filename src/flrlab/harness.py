@@ -222,13 +222,6 @@ class TrialState:
     objectives: list  # one per device
 
 
-def sample_devices(num_devices: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform without-replacement device subset, returned sorted."""
-    if not 1 <= count <= num_devices:
-        raise ValueError("sample size out of range")
-    return np.sort(rng.choice(num_devices, size=count, replace=False))
-
-
 def _craft_models(
     config: ExperimentConfig,
     models: np.ndarray,
@@ -271,7 +264,7 @@ def run_iteration(
     m = config.num_devices
     k = config.resolved_devices_per_round()
     if k < m:
-        sampled = sample_devices(m, k, it_stream.child("sample").generator())
+        sampled = np.sort(it_stream.child("sample").generator().choice(m, size=k, replace=False))
     else:
         sampled = np.arange(m)
     present = int(np.sum(sampled < config.compromised))
@@ -319,10 +312,14 @@ def run_iteration(
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One trial's per-iteration records and its final (last-iterate) model."""
+
     records: tuple[MetricsRecord, ...]
     final_weights: np.ndarray
-    final_test_error: float
-    final_validation_error: float
+
+    @property
+    def final_test_error(self) -> float:
+        return self.records[-1].test_error
 
 
 @dataclass(frozen=True)
@@ -333,20 +330,6 @@ class ExperimentResult:
     @property
     def mean_final_test_error(self) -> float:
         return float(np.mean([t.final_test_error for t in self.trial_results]))
-
-    @property
-    def mean_final_validation_error(self) -> float:
-        return float(np.mean([t.final_validation_error for t in self.trial_results]))
-
-    def summary(self) -> dict:
-        errors = [t.final_test_error for t in self.trial_results]
-        return {
-            "config_hash": config_hash(self.config),
-            "trials": len(self.trial_results),
-            "mean_final_test_error": float(np.mean(errors)),
-            "std_final_test_error": float(np.std(errors)),
-            "mean_final_validation_error": self.mean_final_validation_error,
-        }
 
 
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -428,37 +411,24 @@ def run_trial(
         if on_iteration is not None:
             on_iteration(report)
 
-    return TrialResult(
-        records=tuple(records),
-        final_weights=state.weights,
-        final_test_error=error_rate(model_spec, state.weights, test),
-        final_validation_error=records[-1].validation_error,
-    )
+    return TrialResult(records=tuple(records), final_weights=state.weights)
 
 
-def load_data(
-    config: ExperimentConfig, train: Dataset | None = None, test: Dataset | None = None
-) -> tuple[Dataset, Dataset]:
-    """Validate the config, build (train, test) unless supplied, and check that
-    the data's class count divides the devices (:func:`device_shards` checks each trial's shards)."""
+def load_data(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """Validate the config, build its (train, test) datasets, and check that the
+    data's class count divides the devices (:func:`device_shards` checks each trial's shards)."""
     config.validate()
-    if (train is None) != (test is None):
-        raise ValueError("supply both train and test datasets, or neither")
-    if train is None:
-        train, test = build_datasets(config)
+    train, test = build_datasets(config)
     if config.num_devices % train.num_classes:
         raise ConfigError(f"the {train.num_classes} classes of the data do not divide the {config.num_devices} devices")
     return train, test
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    train: Dataset | None = None,
-    test: Dataset | None = None,
-    on_iteration: Callable[[IterationReport], None] | None = None,
+    config: ExperimentConfig, on_iteration: Callable[[IterationReport], None] | None = None
 ) -> ExperimentResult:
-    """Run all trials of an experiment; datasets may be supplied or built from config."""
-    train, test = load_data(config, train, test)
+    """Run every trial of the config's experiment; ``on_iteration`` receives each iteration's report."""
+    train, test = load_data(config)
     results = tuple(
         run_trial(config, train, test, trial, on_iteration=on_iteration) for trial in range(config.trials)
     )
@@ -540,17 +510,19 @@ def write_trial_csv(records, path) -> None:
 
 
 def write_summary_csv(result: ExperimentResult, path) -> None:
-    summary = result.summary()
-    per_trial = ";".join(format_float(t.final_test_error) for t in result.trial_results)
+    """A header and one row: config hash, trial count, mean and std of the trials' final test errors,
+    mean final validation error, and the ';'-separated final test error of each trial."""
+    last = [t.records[-1] for t in result.trial_results]
+    test_errors = [r.test_error for r in last]
     with open(path, "w", newline="") as fh:
         fh.write(
             "config_hash,trials,mean_final_test_error,std_final_test_error,"
             "mean_final_validation_error,per_trial_final_test_error\n"
         )
         fh.write(
-            f"{summary['config_hash']},{summary['trials']},"
-            f"{format_float(summary['mean_final_test_error'])},"
-            f"{format_float(summary['std_final_test_error'])},"
-            f"{format_float(summary['mean_final_validation_error'])},"
-            f"{per_trial}\n"
+            f"{config_hash(result.config)},{len(last)},"
+            f"{format_float(np.mean(test_errors))},"
+            f"{format_float(np.std(test_errors))},"
+            f"{format_float(np.mean([r.validation_error for r in last]))},"
+            f"{';'.join(format_float(e) for e in test_errors)}\n"
         )

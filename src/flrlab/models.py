@@ -100,16 +100,12 @@ def _forward(layers, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 
 
 def predict_proba(spec: ModelSpec, params, features) -> np.ndarray:
-    """Class probabilities; accepts a single feature row or an (n, q) matrix."""
+    """(n, L) class probabilities of an (n, q) feature matrix."""
     p = as_vector(params, dim=spec.dim)
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != spec.num_features:
-        raise ValueError("feature width does not match the model spec")
-    probs = _forward(_unpack(spec, p), x)[1]
-    return probs[0] if single else probs
+    if x.ndim != 2 or x.shape[1] != spec.num_features:
+        raise ValueError(f"features must be an (n, {spec.num_features}) matrix, got shape {x.shape}")
+    return _forward(_unpack(spec, p), x)[1]
 
 
 def loss(objective: Objective, params) -> float:
@@ -174,15 +170,14 @@ def error_rate(spec: ModelSpec, params, dataset: Dataset) -> float:
     return float(np.mean(predicted != dataset.labels))
 
 
-def init_params(spec: ModelSpec, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Initial global model: zeros for LR; small random hidden weights for the MLP.
+def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
+    """Initial global model: zeros for LR (``rng`` is not drawn from); for the MLP,
+    He-scaled normal weights from ``rng`` and zero biases.
 
     The MLP needs non-zero weights to break hidden-unit symmetry.
     """
     if spec.kind == "lr":
         return np.zeros(spec.dim)
-    if rng is None:
-        raise ValueError("mlp initialisation needs a generator")
     parts = []
     for fan_in, fan_out in spec.layers:
         parts += [(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)).ravel(), np.zeros(fan_out)]

@@ -3,6 +3,7 @@ import pytest
 
 from flrlab.aggregation import (
     _DIRECT_PAIRWISE_LIMIT,
+    RULES,
     AggregatorSpec,
     aggregate,
     bulyan,
@@ -334,3 +335,11 @@ class TestAggregateDispatch:
             aggregate(AggregatorSpec("trimmed_mean", trim_count=2), models)
         with pytest.raises(ValueError):
             AggregatorSpec("geometric_median")
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_negative_assumed_count_rejected(self, rule):
+        # c = -1 would give Krum m-1 neighbours and Bulyan theta = m+2 of m models
+        spec = AggregatorSpec(rule, assumed_compromised=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            spec.validate(10)
+        AggregatorSpec(rule).validate(10)

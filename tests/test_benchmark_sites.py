@@ -1,17 +1,20 @@
 """The benchmark's tracer patches flrlab call sites by name, its workloads
-and checks read config fields by name, and its kernels call flrlab functions
-with fixed signatures; a rename or removal that drops one would only show
+and checks read config fields by name, its kernels call flrlab functions
+with fixed signatures, and its measurement loop reads the results of
+``run_experiment``; a rename or removal that drops one would only show
 when someone runs ``perfbench/run.py``."""
 
 import importlib
 import importlib.util
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from flrlab.harness import ExperimentConfig
+
+from test_golden import BASE
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -68,3 +71,19 @@ def test_kernels_run_and_match_the_benchmark_metrics(monkeypatch):
     declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
     expected = {m["name"] for m in declared["per_layer"] if m["name"].startswith("kernel.")}
     assert names == expected
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_measure_runs_each_workload_on_a_small_federation(monkeypatch, workload, trace):
+    # the workload's rule, attack and defense on the golden grid's 10-device federation
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench
+
+    config = replace(BASE, **workloads.WORKLOADS[workload])
+    run = bench.measure(config, seconds=0.1, trace=trace)
+    assert run.completed > 0
+    assert run.failed == 0
+    assert run.problems == []
+    # an experiment that fails after its last iteration counts no failed iteration
+    assert run.final_test_errors

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flrlab.cli import main
@@ -31,6 +32,27 @@ def test_run_writes_trial_and_summary(tmp_path):
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0].startswith("config_hash,trials,")
     assert len(summary) == 2
+
+
+def test_summary_reads_each_trials_last_record(tmp_path):
+    out = tmp_path / "run"
+    # overlapping classes and small batches: the trials end on different errors,
+    # and each trial's last record differs from the one before it
+    args = ["run", "--seed", "0", "--config", small_config(tmp_path), "--set", "trials=3", "--set", "synth_spread=2.0",
+            "--set", "batch_size=4", "--out", str(out)]
+    assert main(args) == 0
+    rows = [[line.split(",") for line in (out / f"trial_{i:02d}.csv").read_text().splitlines()] for i in range(3)]
+    assert all(trial[-1][2:4] != trial[-2][2:4] for trial in rows)
+    test_errors = [float(trial[-1][2]) for trial in rows]
+    validation_errors = [float(trial[-1][3]) for trial in rows]
+    assert len(set(test_errors)) == 3
+    header, row = (line.split(",") for line in (out / "summary.csv").read_text().splitlines())
+    summary = dict(zip(header, row))
+    assert summary["trials"] == "3"
+    assert float(summary["mean_final_test_error"]) == np.mean(test_errors)
+    assert float(summary["std_final_test_error"]) == np.std(test_errors)
+    assert float(summary["mean_final_validation_error"]) == np.mean(validation_errors)
+    assert [float(e) for e in summary["per_trial_final_test_error"].split(";")] == test_errors
 
 
 def test_sweep_writes_one_run_per_value(tmp_path):

@@ -39,14 +39,14 @@ class TestModelSpec:
 class TestPredictProba:
     def test_zero_params_uniform(self):
         spec = ModelSpec("lr", 3, 4)
-        probs = predict_proba(spec, np.zeros(spec.dim), np.ones(3))
+        probs = predict_proba(spec, np.zeros(spec.dim), np.ones((1, 3)))
         assert np.allclose(probs, 0.25, atol=1e-12)
 
     def test_symmetric_logits(self):
         spec = ModelSpec("lr", 1, 2)
         # weights zero, biases equal -> logits (0, 0) -> (0.5, 0.5)
-        probs = predict_proba(spec, np.zeros(spec.dim), np.array([1.0]))
-        assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
+        probs = predict_proba(spec, np.zeros(spec.dim), np.array([[1.0]]))
+        assert np.allclose(probs, [[0.5, 0.5]], atol=1e-12)
 
     def test_shift_invariance(self):
         spec = ModelSpec("lr", 2, 3)
@@ -67,7 +67,14 @@ class TestPredictProba:
     def test_dim_mismatch(self):
         spec = ModelSpec("lr", 3, 2)
         with pytest.raises(ValueError):
-            predict_proba(spec, np.zeros(5), np.ones(3))
+            predict_proba(spec, np.zeros(5), np.ones((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 2, 3)])
+    def test_rejects_features_that_are_not_an_n_by_q_matrix(self, shape):
+        # a single feature row is passed as a one-row matrix
+        spec = ModelSpec("lr", 3, 2)
+        with pytest.raises(ValueError, match="matrix"):
+            predict_proba(spec, np.zeros(spec.dim), np.ones(shape))
 
 
 class TestLoss:
