@@ -1,13 +1,13 @@
 """Local model poisoning attack crafters.
 
 The crafted-model attacks push the aggregated global model against the
-direction it would move without an attack.  Against Krum the crafted model
-sits at ``w_received - shift * direction`` with the largest shift that Krum
-still selects (binary search under a provable upper bound); against trimmed
-mean and median the compromised coordinates are sampled just beyond the
-benign extremes (full knowledge) or 3-4 standard deviations from the
-compromised mean (partial knowledge).  Gaussian and label-flipping baselines
-round out the set.
+direction s it would move without an attack, which :func:`estimate_direction`
+derives from the aggregate :func:`expected_aggregate` expects.  Against Krum
+the crafted model sits at ``w_received - shift * s`` with the largest shift
+that Krum still selects (binary search under a provable upper bound); against
+trimmed mean and median the compromised coordinates are sampled just beyond
+the benign extremes (full knowledge) or 3-4 standard deviations from the
+compromised mean (partial knowledge).  Gaussian and label flipping are baselines.
 """
 
 from __future__ import annotations
@@ -87,20 +87,26 @@ class KrumAttackResult:
         return self.models is not None
 
 
-def estimate_direction(scope: KnowledgeScope, before_attack_agg=None) -> np.ndarray:
-    """Per-coordinate update direction the attack will work against.
+def expected_aggregate(models, target_rule: str, c: int) -> np.ndarray:
+    """What the attacker expects ``target_rule`` to make of ``models``: Krum's pick for Krum and
+    Bulyan, else the rule itself trimming c per side (as many as the attacker controls)."""
+    if target_rule in KRUM_TARGETS:
+        return krum(models, c)[1]
+    return aggregate(AggregatorSpec(target_rule, trim_count=c), models)
 
-    Full knowledge compares the iteration's no-attack aggregate with the
-    received global model; partial knowledge substitutes the mean of the
-    compromised devices' before-attack models.
+
+def estimate_direction(scope: KnowledgeScope, spec: AttackSpec, compromised_count: int) -> np.ndarray:
+    """Per-coordinate update direction s the attack works against, +1 on ties.
+
+    Full knowledge takes the sign of :func:`expected_aggregate` over the models
+    in scope minus the received global model; partial knowledge uses the
+    compromised devices' mean before-attack model in place of that aggregate.
     """
     if scope.mode == "full":
-        if before_attack_agg is None:
-            raise ValueError("full knowledge needs the no-attack aggregate")
-        return signed_direction(before_attack_agg, scope.w_received)
-    if before_attack_agg is not None:
-        raise ValueError("partial knowledge must not see the no-attack aggregate")
-    return signed_direction(scope.models.mean(axis=0), scope.w_received)
+        before = expected_aggregate(scope.models, spec.target_rule, compromised_count)
+    else:
+        before = scope.models.mean(axis=0)
+    return signed_direction(before, scope.w_received)
 
 
 def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int) -> float:
@@ -193,11 +199,7 @@ def attack_krum(
     if not copy_plans:
         return KrumAttackResult(None, None, 0)
 
-    if spec.objective == "directed_deviation":
-        before = krum(scope.models, c)[1] if scope.mode == "full" else None
-        direction = estimate_direction(scope, before)
-    else:
-        direction = np.ones(dim)
+    direction = estimate_direction(scope, spec, c) if spec.objective == "directed_deviation" else np.ones(dim)
 
     for copies in copy_plans:
         found = _binary_search_shift(candidates, scope.w_received, direction, copies)
@@ -250,13 +252,11 @@ def attack_trimmed_mean(
             s = as_vector(direction, dim=dim)
             go_above = s < 0
         else:
-            # the attacker assumes the master trims as many as it controls
-            simulated = AggregatorSpec(spec.target_rule, trim_count=c)
-            base = aggregate(simulated, scope.models)
+            base = expected_aggregate(scope.models, spec.target_rule, c)
             above_mid = np.vstack([np.tile((above_lo + above_hi) / 2.0, (c, 1)), benign])
             below_mid = np.vstack([np.tile((below_lo + below_hi) / 2.0, (c, 1)), benign])
-            dev_above = np.abs(aggregate(simulated, above_mid) - base)
-            dev_below = np.abs(aggregate(simulated, below_mid) - base)
+            dev_above = np.abs(expected_aggregate(above_mid, spec.target_rule, c) - base)
+            dev_below = np.abs(expected_aggregate(below_mid, spec.target_rule, c) - base)
             go_above = dev_above >= dev_below
         lo = np.where(go_above, above_lo, below_lo)
         hi = np.where(go_above, above_hi, below_hi)

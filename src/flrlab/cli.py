@@ -22,10 +22,9 @@ from flrlab.harness import (
     ExperimentConfig,
     config_from_mapping,
     config_hash,
-    device_shards,
     format_float,
-    load_data,
     run_experiment,
+    set_up,
     write_summary_csv,
     write_trial_csv,
 )
@@ -79,15 +78,14 @@ def cmd_run(args) -> int:
 
 
 def _run_matrix(rows, out_dir: Path, table: str, key_header: str) -> list[float]:
-    """Run every (tag, key, config) row's set-up checks, then run each in order.
+    """Run :func:`set_up` on every (tag, key, config) row, so that a rejected row stops
+    the matrix before any run, then run each row in order.
 
     Each run writes its CSVs under the ``tag`` prefix; ``table`` gets one
     ``key,mean_final_test_error`` line per row.  Returns the errors in row order.
     """
     for _, _, config in rows:
-        train, _ = load_data(config)
-        for trial in range(config.trials):
-            device_shards(config, train, trial)
+        set_up(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines, errors = [f"{key_header},mean_final_test_error"], []
     for tag, key, config in rows:

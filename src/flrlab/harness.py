@@ -18,6 +18,7 @@ from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
+# mean, median and trimmed_mean go unused here: perfbench/tracer.py patches them as attacks.direction call sites
 from flrlab.aggregation import RULES, AggregatorSpec, aggregate, mean, median, trimmed_mean
 from flrlab.attacks import (
     KNOWLEDGE_MODES,
@@ -160,7 +161,7 @@ class ExperimentConfig:
             raise ConfigError(f"the {self.defense} defense removes c models; c must be positive")
         # Model counts the rule must aggregate: k always; with a defense on, also k-1
         # (leave-one-out) and k-c (survivors), plus k-2c for Union, which can remove up
-        # to 2c.  Set-up checks only what depends on the data (load_data, device_shards).
+        # to 2c.  set_up checks what depends on the data (class count, every trial's shards).
         counts = [k]
         if self.defense != "none":
             counts += [k - 1, k - c] + ([k - 2 * c] if self.defense == "union" else [])
@@ -231,27 +232,11 @@ def _craft_models(
 ) -> tuple[np.ndarray | None, float | None]:
     """Crafted replacements for the ``present`` compromised rows, or None."""
     spec = config.attack_spec()
-    if config.knowledge == "full":
-        scope = KnowledgeScope("full", models, w_received)
-    else:
-        scope = KnowledgeScope("partial", models[:present], w_received)
-
+    scope = KnowledgeScope(config.knowledge, models if config.knowledge == "full" else models[:present], w_received)
     if spec.target_rule in KRUM_TARGETS:
         result = attack_krum(scope, spec, present, rng)
         return result.models, result.shift
-
-    direction = None
-    if spec.objective == "directed_deviation":
-        if config.knowledge == "full":
-            if spec.target_rule == "mean":
-                before = mean(models)
-            elif spec.target_rule == "median":
-                before = median(models)
-            else:
-                before = trimmed_mean(models, present)
-            direction = estimate_direction(scope, before)
-        else:
-            direction = estimate_direction(scope)
+    direction = estimate_direction(scope, spec, present) if spec.objective == "directed_deviation" else None
     return attack_trimmed_mean(scope, spec, present, direction, rng), None
 
 
@@ -367,31 +352,21 @@ def _carve_validation(test: Dataset, size: int, rng: np.random.Generator) -> Dat
     return test.subset(picked)
 
 
-def device_shards(config: ExperimentConfig, train: Dataset, trial_index: int) -> list[np.ndarray]:
-    """Each device's training instance indices in one trial; ConfigError if a device gets none."""
-    rng = RngStream(config.seed, f"trial{trial_index}").child("partition").generator()
-    assignment = partition_noniid(train, config.num_devices, config.label_bias, rng)
-    shards = [np.flatnonzero(assignment == dev) for dev in range(config.num_devices)]
-    empty = [dev for dev, shard in enumerate(shards) if shard.size == 0]
-    if empty:
-        raise ConfigError(f"devices {empty} received no training instances; use more data or fewer devices")
-    return shards
-
-
 def run_trial(
     config: ExperimentConfig,
     train: Dataset,
     test: Dataset,
+    shards: list[np.ndarray],
     trial_index: int,
     on_iteration: Callable[[IterationReport], None] | None = None,
 ) -> TrialResult:
-    """Run one seeded trial of the full federated loop."""
+    """Run one seeded trial of the full federated loop; ``shards`` holds each device's training indices."""
     stream = RngStream(config.seed, f"trial{trial_index}")
     model_spec = config.model_spec(train)
     flipped = flip_labels(train) if config.attack == "label_flip" else train
     objectives = [
         shard_objective(model_spec, flipped if dev < config.compromised else train, shard)
-        for dev, shard in enumerate(device_shards(config, train, trial_index))
+        for dev, shard in enumerate(shards)
     ]
     state = TrialState(
         model_spec=model_spec,
@@ -414,23 +389,36 @@ def run_trial(
     return TrialResult(records=tuple(records), final_weights=state.weights)
 
 
-def load_data(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Validate the config, build its (train, test) datasets, and check that the
-    data's class count divides the devices (:func:`device_shards` checks each trial's shards)."""
+def set_up(config: ExperimentConfig) -> tuple[Dataset, Dataset, list[list[np.ndarray]]]:
+    """Validate the config, build its (train, test) datasets and partition the training set for every trial.
+
+    ``shards[trial][device]`` holds the device's training instance indices.  A data
+    class count that does not divide the devices, or a device of any trial left
+    without instances, raises ConfigError before the first trial starts.
+    """
     config.validate()
     train, test = build_datasets(config)
     if config.num_devices % train.num_classes:
         raise ConfigError(f"the {train.num_classes} classes of the data do not divide the {config.num_devices} devices")
-    return train, test
+    shards = []
+    for trial in range(config.trials):
+        rng = RngStream(config.seed, f"trial{trial}").child("partition").generator()
+        assignment = partition_noniid(train, config.num_devices, config.label_bias, rng)
+        shards.append([np.flatnonzero(assignment == dev) for dev in range(config.num_devices)])
+        if empty := [dev for dev, shard in enumerate(shards[-1]) if shard.size == 0]:
+            raise ConfigError(f"trial {trial}: devices {empty} get no training data; use more data or fewer devices")
+    return train, test, shards
 
 
 def run_experiment(
     config: ExperimentConfig, on_iteration: Callable[[IterationReport], None] | None = None
 ) -> ExperimentResult:
-    """Run every trial of the config's experiment; ``on_iteration`` receives each iteration's report."""
-    train, test = load_data(config)
+    """Set up every trial of the config's experiment, then run them in order;
+    ``on_iteration`` receives each iteration's report."""
+    train, test, shards = set_up(config)
     results = tuple(
-        run_trial(config, train, test, trial, on_iteration=on_iteration) for trial in range(config.trials)
+        run_trial(config, train, test, trial_shards, trial, on_iteration=on_iteration)
+        for trial, trial_shards in enumerate(shards)
     )
     return ExperimentResult(config, results)
 

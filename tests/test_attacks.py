@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flrlab.aggregation import krum, trimmed_mean
+from flrlab.aggregation import RULES, krum, trimmed_mean
 from flrlab.attacks import (
     SUPPORT_RADIUS,
     AttackSpec,
@@ -17,7 +17,7 @@ from flrlab.attacks import (
 from flrlab.core import RngStream, signed_direction
 from flrlab.data import Dataset
 
-from oracles import oracle_shift_bound
+from oracles import oracle_krum, oracle_mean, oracle_median, oracle_shift_bound, oracle_trimmed_mean
 
 
 def full_scope(rng, m=10, c=3, d=4, spread=1.0):
@@ -26,29 +26,54 @@ def full_scope(rng, m=10, c=3, d=4, spread=1.0):
     return KnowledgeScope("full", models, w_re), c
 
 
+ORACLE_AGGREGATES = {
+    "mean": lambda rows, c: oracle_mean(rows),
+    "trimmed_mean": oracle_trimmed_mean,
+    "median": lambda rows, c: oracle_median(rows),
+    # a Bulyan target is crafted against as Krum
+    "krum": lambda rows, c: oracle_krum(rows, c)[1],
+    "bulyan": lambda rows, c: oracle_krum(rows, c)[1],
+}
+
+
+def oracle_sign(values, w_received):
+    return [1.0 if v >= w else -1.0 for v, w in zip(values, w_received)]
+
+
+def direction_scope(mode="full", m=10):
+    """Random models with the received model just off their mean, so the rules' signs differ; c = 3."""
+    rng = RngStream(21, mode).generator()
+    models = rng.standard_normal((m, 12))
+    return KnowledgeScope(mode, models, models.mean(axis=0) + 0.01 * rng.standard_normal(12)), 3
+
+
 class TestEstimateDirection:
+    @pytest.mark.parametrize("rule", RULES)
+    def test_full_gives_the_sign_of_the_targets_oracle(self, rule):
+        scope, c = direction_scope()
+        expected = oracle_sign(ORACLE_AGGREGATES[rule](scope.models.tolist(), c), scope.w_received.tolist())
+        assert estimate_direction(scope, AttackSpec(rule), c).tolist() == expected
+
+    def test_full_targets_expect_different_aggregates(self):
+        # the scope tells every target's aggregate apart, so a target mapped to the wrong one fails
+        scope, c = direction_scope()
+        signs = {rule: tuple(oracle_sign(f(scope.models.tolist(), c), scope.w_received.tolist()))
+                 for rule, f in ORACLE_AGGREGATES.items() if rule != "bulyan"}
+        assert len(set(signs.values())) == len(signs)
+
     def test_partial_uses_compromised_mean(self):
-        scope = KnowledgeScope("partial", np.array([[2.0, 1.0], [2.0, 1.0]]), np.array([1.0, 2.0]))
-        assert estimate_direction(scope).tolist() == [1.0, -1.0]
+        scope, c = direction_scope("partial", m=3)
+        expected = oracle_sign(oracle_mean(scope.models.tolist()), scope.w_received.tolist())
+        assert expected != oracle_sign(oracle_median(scope.models.tolist()), scope.w_received.tolist())
+        for rule in RULES:
+            assert estimate_direction(scope, AttackSpec(rule), c).tolist() == expected
 
     def test_full_tie_gives_plus_one(self):
         w = np.array([0.5, -0.5])
-        scope = KnowledgeScope("full", np.tile(w, (4, 1)), w)
-        assert estimate_direction(scope, w).tolist() == [1.0, 1.0]
-
-    def test_full_median_then_sign(self):
-        models = np.array([[1.0], [2.0], [3.0]])
-        scope = KnowledgeScope("full", models, np.array([0.0]))
-        med = np.median(models, axis=0)
-        assert estimate_direction(scope, med).tolist() == [1.0]
-
-    def test_mode_argument_contracts(self):
-        scope_full = KnowledgeScope("full", np.zeros((3, 2)), np.zeros(2))
-        with pytest.raises(ValueError):
-            estimate_direction(scope_full)  # aggregate required
-        scope_partial = KnowledgeScope("partial", np.zeros((3, 2)), np.zeros(2))
-        with pytest.raises(ValueError):
-            estimate_direction(scope_partial, np.zeros(2))  # must not peek
+        for mode, count in (("full", 4), ("partial", 1)):
+            scope = KnowledgeScope(mode, np.tile(w, (count, 1)), w)
+            for rule in RULES:
+                assert estimate_direction(scope, AttackSpec(rule), 1).tolist() == [1.0, 1.0]
 
 
 class TestShiftUpperBound:

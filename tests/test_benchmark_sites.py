@@ -87,3 +87,15 @@ def test_measure_runs_each_workload_on_a_small_federation(monkeypatch, workload,
     assert run.problems == []
     # an experiment that fails after its last iteration counts no failed iteration
     assert run.final_test_errors
+
+
+def test_the_direction_work_stays_inside_its_traced_call(monkeypatch):
+    # the coordinate-wise attack's expected aggregate is computed inside estimate_direction, one call per iteration
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench
+
+    run = bench.measure(replace(BASE, **workloads.WORKLOADS["trmean-craft-err"]), seconds=0.1, trace=True)
+    layers = bench.per_layer(run)
+    assert run.problems == []
+    assert layers["attacks.direction_calls"][0] == 1
+    assert layers["attacks.direction_ms"][0] > 0

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flrlab import harness
 from flrlab.cli import main
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_metrics.json").read_text())
@@ -99,6 +100,20 @@ def test_rejected_config_exits_2(tmp_path, capsys):
             "--out", str(out)]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_an_empty_shard_in_a_later_trial_exits_2_before_any_iteration(tmp_path, capsys, monkeypatch):
+    # 30 training instances on 10 devices: only trial 2 leaves a device without data
+    iterations = []
+    run_iteration = harness.run_iteration
+    monkeypatch.setattr(harness, "run_iteration", lambda *args: iterations.append(args[2]) or run_iteration(*args))
+    out = tmp_path / "bad"
+    sets = ["synth_per_class=15", "synth_test_per_class=10", "validation_size=5", "iterations=2", "trials=3"]
+    args = ["run", "--seed", "0", "--config", small_config(tmp_path), "--out", str(out)]
+    assert main([*args, *(flag for item in sets for flag in ("--set", item))]) == 2
+    assert "trial 2" in capsys.readouterr().err
+    assert iterations == []
     assert not out.exists()
 
 

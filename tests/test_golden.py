@@ -6,7 +6,10 @@ with no attack and the full-knowledge crafted attack on a 4-unit MLP (keys
 prefixed ``mlp/``), plus the full-knowledge crafted attack against Krum and
 Bulyan on 50 features (keys prefixed ``f50/``), where every iteration finds a
 crafted shift, plus Bulyan under each defense and the full-knowledge crafted
-attack on 20 devices (keys prefixed ``n20/``).  ``golden_metrics.json`` holds
+attack on 20 devices (keys prefixed ``n20/``), plus the full-knowledge crafted
+attack under the undirected deviation objective against each coordinate-wise
+rule (keys prefixed ``dev/``) and against Krum and Bulyan on 50 features (keys
+prefixed ``dev-f50/``).  ``golden_metrics.json`` holds
 the ``metrics_csv_lines`` text of each config that runs.  Bulyan needs
 m >= 4c+1 = 9 models, so on 10 devices it cannot aggregate a defense's 8 or
 fewer survivors, and ``ExperimentConfig.validate`` rejects it under a defense.
@@ -73,6 +76,19 @@ GRID.update(
         for defense in ("err", "lfr", "union")
     }
 )
+GRID.update(
+    {
+        f"dev/{rule}/none/craft-full": replace(BASE, rule=rule, objective="deviation", **ATTACKS["craft-full"])
+        for rule in ("mean", "median", "trimmed_mean")
+    }
+)
+GRID.update(
+    {
+        f"dev-f50/{rule}/none/craft-full": replace(BASE, synth_features=50, rule=rule, objective="deviation",
+                                                   **ATTACKS["craft-full"])
+        for rule in ("krum", "bulyan")
+    }
+)
 
 
 def csv_text(config: ExperimentConfig) -> str:
@@ -90,7 +106,7 @@ def test_metrics_csv_is_byte_identical(name):
 
 
 def test_grid_configs_without_golden_are_rejected_before_iteration_zero():
-    assert len(GOLDEN_CSV) == 100
+    assert len(GOLDEN_CSV) == 105
     skipped = sorted(set(GRID) - set(GOLDEN_CSV))
     assert skipped == sorted(
         f"bulyan/{defense}/{attack}" for defense in DEFENSE_KINDS if defense != "none" for attack in ATTACKS

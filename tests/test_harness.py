@@ -175,6 +175,15 @@ class TestFileDatasets:
         assert reports == []
 
 
+def test_an_empty_shard_in_a_later_trial_is_rejected_before_iteration_zero():
+    # 30 training instances on 10 devices: trials 0 and 1 give every device some, trial 2 leaves one without
+    config = replace(BASE, synth_per_class=15, synth_test_per_class=10, validation_size=5, iterations=2, trials=3)
+    reports = []
+    with pytest.raises(ConfigError, match="trial 2"):
+        run_experiment(config, on_iteration=reports.append)
+    assert reports == []
+
+
 def test_on_iteration_reports_each_iteration(monkeypatch):
     received = []
     real_update = harness.local_update
