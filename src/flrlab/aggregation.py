@@ -140,20 +140,35 @@ def bulyan(models, assumed_compromised: int, selection_count: int, average_count
     ``average_count`` values closest to their median.  :func:`aggregate`
     passes the counts of :func:`bulyan_counts`.
 
-    Distance-to-median ties keep selection order (stable sort), and the inner
-    Krum's neighbour count clips at zero once few models remain.
+    Checks the counts, builds the distance matrix and runs :func:`bulyan_within`
+    on every row.
     """
     sq = pairwise_sq_dists(models)
     m, c, theta, gamma = sq.shape[0], assumed_compromised, selection_count, average_count
+    AggregatorSpec("bulyan", assumed_compromised=c).validate(m)
     if not 1 <= gamma <= theta - 2 * c <= m - 4 * c:
         raise ValueError(f"bulyan needs 1 <= gamma <= theta-2c <= m-4c (m={m}, c={c}, theta={theta}, gamma={gamma})")
+    return bulyan_within(np.asarray(models, dtype=np.float64), sq, range(m), c, theta, gamma)
 
-    remaining, selected = list(range(m)), []
+
+def bulyan_within(
+    models: np.ndarray, sq_dists: np.ndarray, rows, assumed_compromised: int, selection_count: int, average_count: int
+) -> np.ndarray:
+    """Bulyan on ``models[rows]``, with distances read from ``sq_dists``, the
+    matrix of all of ``models``; the counts are not checked here.
+
+    As in :func:`krum_select`, each of the theta Krum rounds scores within the
+    rows that remain.  Distance-to-median ties keep selection order (stable
+    sort), and the inner Krum's neighbour count clips at zero once few models
+    remain.
+    """
+    c, theta, gamma = assumed_compromised, selection_count, average_count
+    remaining, selected = list(rows), []
     for _ in range(theta):
-        selected.append(krum_select(sq, remaining, c))
+        selected.append(krum_select(sq_dists, remaining, c))
         remaining.remove(selected[-1])
 
-    chosen = np.asarray(models, dtype=np.float64)[selected]
+    chosen = models[selected]
     med = _window_mean(chosen, (theta - 1) // 2)
     dist_to_med = np.abs(chosen - med)
     order = np.argsort(dist_to_med, axis=0, kind="stable")[:gamma]

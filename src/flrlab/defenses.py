@@ -8,11 +8,11 @@ are leave-one-out: aggregate with and without each model and compare on a
 small validation set held by the master.  The defenses never see which
 devices are actually compromised.
 
-The m leave-one-out aggregates do not rerun the rule m times except under
-Bulyan, whose theta and gamma follow each subset's m-1 models.  Mean,
+The m leave-one-out aggregates never rerun the rule m times.  Mean,
 trimmed mean and median sort each column once and subtract one clipped
-value per model from the sum of one window; Krum selects within rows of
-one pairwise distance matrix.
+value per model from the sum of one window; Krum and Bulyan select within
+rows of one pairwise distance matrix, Bulyan with the theta and gamma of
+each subset's m-1 models.
 """
 
 from __future__ import annotations
@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flrlab.aggregation import AggregatorSpec, aggregate, krum_select, pairwise_sq_dists
+from flrlab.aggregation import (
+    AggregatorSpec,
+    aggregate,
+    bulyan_counts,
+    bulyan_within,
+    krum_select,
+    pairwise_sq_dists,
+)
 from flrlab.core import as_model_matrix
 from flrlab.data import Dataset
 from flrlab.models import ModelSpec, error_rate, loss, shard_objective
@@ -65,14 +72,14 @@ def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
     to [s_beta, s_{m-1-beta}], over m-1-2*beta.  That sum holds only values
     inside the window, so values far outside it add no rounding error.
 
-    Krum builds one pairwise distance matrix and selects within each row
-    subset, which is identical to rerunning the rule on the subset.  The
-    generic path, rerunning the rule on every subset, serves Bulyan only.
+    Krum and Bulyan build one pairwise distance matrix and select within each
+    row subset: Krum once, Bulyan theta times with the counts of the subset's
+    m-1 models.  Both are identical to rerunning the rule on the subset.
     """
-    m = models.shape[0]
+    m, c = models.shape[0], agg_spec.assumed_compromised
+    agg_spec.validate(m - 1)
     if agg_spec.rule in ("mean", "trimmed_mean", "median"):
         yield aggregate(agg_spec, models)
-        agg_spec.validate(m - 1)
         beta = {"mean": 0, "trimmed_mean": agg_spec.trim_count}.get(agg_spec.rule, (m - 2) // 2)
         ordered = np.sort(models, axis=0)
         window = ordered[beta : m - beta].sum(axis=0)
@@ -80,15 +87,12 @@ def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
         for row in models:
             yield (window - np.clip(row, low, high)) / (m - 1 - 2 * beta)
         return
-    subsets = [np.arange(m)] + [np.flatnonzero(np.arange(m) != i) for i in range(m)]
-    if agg_spec.rule == "krum":
-        agg_spec.validate(m - 1)
-        sq = pairwise_sq_dists(models)
-        for rows in subsets:
-            yield models[krum_select(sq, rows, agg_spec.assumed_compromised)]
-    else:
-        for rows in subsets:
-            yield aggregate(agg_spec, models[rows])
+    sq = pairwise_sq_dists(models)
+    for rows in [np.arange(m)] + [np.flatnonzero(np.arange(m) != i) for i in range(m)]:
+        if agg_spec.rule == "krum":
+            yield models[krum_select(sq, rows, c)]
+        else:
+            yield bulyan_within(models, sq, rows, c, *bulyan_counts(len(rows), c))
 
 
 def impact_scores(

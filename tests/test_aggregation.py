@@ -199,6 +199,8 @@ class TestBulyan:
             bulyan(models, 2, 6, 1)  # theta > m - 2c
         with pytest.raises(ValueError):
             bulyan(models, 2, 5, 2)  # gamma > theta - 2c
+        with pytest.raises(ValueError, match="non-negative"):
+            bulyan(models, -1, 11, 1)  # theta = m + 2 would pass the count chain
 
     @pytest.mark.parametrize("c", [0, 1, 2])
     def test_counts_follow_the_model_count(self, c):

@@ -66,13 +66,13 @@ class TestImpactScores:
             assert error_impact == pytest.approx(expect_err, abs=1e-12)
             assert loss_impact == pytest.approx(expect_loss, abs=1e-12)
 
-    def test_krum_fast_path_matches_rule_rerun(self, validation, model_spec, monkeypatch):
+    @pytest.mark.parametrize("rule, c", [("krum", 2), ("bulyan", 1)])
+    def test_krum_fast_path_matches_rule_rerun(self, validation, model_spec, monkeypatch, rule, c):
         from flrlab import aggregation, defenses
-        from flrlab.aggregation import aggregate, krum
 
         rng = RngStream(7, "d").generator()
         models = rng.standard_normal((8, model_spec.dim))
-        spec = AggregatorSpec("krum", assumed_compromised=2)
+        spec = AggregatorSpec(rule, assumed_compromised=c)
         original, calls = aggregation.pairwise_sq_dists, []
 
         def counted(arr):
@@ -88,7 +88,7 @@ class TestImpactScores:
         obj = shard_objective(model_spec, validation)
         full = aggregate(spec, models)
         for i, (error_impact, loss_impact) in enumerate(impacts):
-            _, without = krum(np.delete(models, i, axis=0), 2)
+            without = aggregate(spec, np.delete(models, i, axis=0))
             assert error_impact == error_rate(model_spec, full, validation) - error_rate(model_spec, without, validation)
             assert loss_impact == loss(obj, full) - loss(obj, without)
 
@@ -122,10 +122,16 @@ class TestImpactScores:
             impact_scores(np.zeros((1, model_spec.dim)), AggregatorSpec("mean"), model_spec, validation)
 
 
-    @pytest.mark.parametrize("m, c", [(6, 1), (8, 1), (10, 2), (12, 2)])
-    def test_bulyan_subsets_take_their_own_counts(self, m, c):
-        # every leave-one-out set has m-1 models: theta = m-1-2c, gamma = theta-2c
-        models = RngStream(m, "loo-bulyan").generator().standard_normal((m, 5))
+    @pytest.mark.parametrize(
+        "m, c, d",
+        [(6, 1, 5), (8, 1, 5), (10, 2, 5), (12, 2, 5), (10, 2, 170_000)],
+        ids=["6-1", "8-1", "10-2", "12-2", "10-2-gram"],
+    )
+    def test_bulyan_subsets_take_their_own_counts(self, m, c, d):
+        # every leave-one-out set has m-1 models: theta = m-1-2c, gamma = theta-2c.
+        # At m*m*d > 2**24 the distances come from the Gram path, where a
+        # sub-block of the full matrix need not equal the subset's own matrix.
+        models = RngStream(m, "loo-bulyan").generator().standard_normal((m, d))
         loo = list(_loo_aggregates(models, AggregatorSpec("bulyan", assumed_compromised=c)))
         assert np.array_equal(loo[0], bulyan(models, c, m - 2 * c, m - 4 * c))
         theta = m - 1 - 2 * c
