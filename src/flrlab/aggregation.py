@@ -94,7 +94,13 @@ def neighbor_score_sums(sq_dists: np.ndarray, neighbor_count: int) -> np.ndarray
 
 def krum_select(sq_dists: np.ndarray, rows, assumed_compromised: int) -> int:
     """The row among ``rows`` with the smallest Krum score computed within
-    ``rows``; ties go to the earliest position in ``rows``."""
+    ``rows``; ties go to the earliest position in ``rows``.
+
+    It is one round of :func:`bulyan_within`, its only caller in the
+    package.  It stays a function of its own because each round scores a
+    different row set, so the rounds share no sort, and its tie order is
+    tested on its own.
+    """
     neighbors = max(0, len(rows) - assumed_compromised - 2)
     scores = neighbor_score_sums(sq_dists[np.ix_(rows, rows)], neighbors)
     return int(rows[int(np.argmin(scores))])

@@ -4,10 +4,13 @@ The crafted-model attacks push the aggregated global model against the
 direction s it would move without an attack, which :func:`estimate_direction`
 derives from the aggregate :func:`expected_aggregate` expects.  Against Krum
 the crafted model sits at ``w_received - shift * s`` with the largest shift
-that Krum still selects (binary search under a provable upper bound); against
-trimmed mean and median the compromised coordinates are sampled just beyond
-the benign extremes (full knowledge) or 3-4 standard deviations from the
-compromised mean (partial knowledge).  Gaussian and label flipping are baselines.
+that Krum still selects (binary search under a provable upper bound).  The
+search builds one distance matrix of the candidate models per attack; each
+step only fills the crafted rows from scalars, so no step touches a model
+vector.  Against trimmed mean and median the compromised coordinates are
+sampled just beyond the benign extremes (full knowledge) or 3-4 standard
+deviations from the compromised mean (partial knowledge).  Gaussian and label
+flipping are baselines.
 """
 
 from __future__ import annotations
@@ -109,15 +112,19 @@ def estimate_direction(scope: KnowledgeScope, spec: AttackSpec, compromised_coun
     return signed_direction(before, scope.w_received)
 
 
-def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int) -> float:
+def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int, sq_dists=None) -> float:
     """Largest shift for which the crafted model could still win Krum.
 
     ``candidate_models`` are the models the attacker treats as benign (the
     true benign ones in full knowledge, the compromised before-attack ones
     in partial knowledge); the evaluation set is those plus
-    ``crafted_count`` identical crafted replicas.
+    ``crafted_count`` identical crafted replicas.  ``sq_dists`` is the
+    candidates' pairwise squared-distance matrix: :func:`attack_krum` passes
+    the one its search shares across copy counts; without it the matrix is
+    built here, which checks the models.
     """
-    sq = pairwise_sq_dists(candidate_models)  # checks the matrix
+    if sq_dists is None:
+        sq_dists = pairwise_sq_dists(candidate_models)
     cand = np.asarray(candidate_models, dtype=np.float64)
     n, dim = cand.shape
     w_re = as_vector(w_received, dim=dim)
@@ -126,7 +133,7 @@ def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int) -> 
     denom = n - crafted_count - 1
     if denom <= 0:
         raise ValueError(f"bound undefined: need crafted_count <= candidates-2 (n={n}, crafted={crafted_count})")
-    neighbor_sums = neighbor_score_sums(sq, n - 2)
+    neighbor_sums = neighbor_score_sums(sq_dists, n - 2)
     term1 = np.sqrt(neighbor_sums.min() / (denom * dim))
     term2 = np.sqrt(np.sum((cand - w_re) ** 2, axis=1)).max() / np.sqrt(dim)
     return float(term1 + term2)
@@ -141,19 +148,32 @@ def sample_in_ball(center: np.ndarray, radius: float, rng: np.random.Generator) 
 
 
 def _binary_search_shift(
-    candidates: np.ndarray,
-    w_received: np.ndarray,
-    direction: np.ndarray,
+    sq_dists: np.ndarray,
+    received_sq: np.ndarray,
+    along: np.ndarray,
+    direction_sq: float,
     copies: int,
-) -> tuple[float, np.ndarray] | None:
-    """Halve the shift from its upper bound until Krum picks the crafted model."""
-    shift = krum_shift_upper_bound(candidates, w_received, copies)
+    shift: float,
+) -> float | None:
+    """Halve ``shift`` from the upper bound until Krum picks the crafted model.
+
+    w - s*dir lies at squared distance a_j - 2s*b_j + s^2*|dir|^2 (clipped at
+    0) from candidate j, with a_j = |w - c_j|^2 (``received_sq``) and
+    b_j = dir.(w - c_j) (``along``).  A step writes these into the crafted
+    rows of one evaluation matrix (copies 0 apart, candidates ``sq_dists``)
+    and takes Krum's pick from its neighbour sums, so it does no work on
+    model vectors.  The distances differ from the stacked evaluation set's
+    by rounding only; the tests check the shifts against the Krum oracle.
+    """
+    n = len(sq_dists)
+    evaluation = np.zeros((copies + n, copies + n))
+    evaluation[copies:, copies:] = sq_dists
     while shift >= SHIFT_FLOOR:
-        crafted = w_received - shift * direction
-        eval_set = np.vstack([np.tile(crafted, (copies, 1)), candidates])
-        chosen, _ = krum(eval_set, copies)
-        if chosen < copies:
-            return shift, crafted
+        to_crafted = np.maximum(received_sq - 2.0 * shift * along + shift * shift * direction_sq, 0.0)
+        evaluation[:copies, copies:] = to_crafted
+        evaluation[copies:, :copies] = to_crafted[:, None]
+        if np.argmin(neighbor_score_sums(evaluation, n - 2)) < copies:
+            return shift
         shift *= 0.5
     return None
 
@@ -200,11 +220,18 @@ def attack_krum(
         return KrumAttackResult(None, None, 0)
 
     direction = estimate_direction(scope, spec, c) if spec.objective == "directed_deviation" else np.ones(dim)
+    sq = pairwise_sq_dists(candidates)
+    offsets = scope.w_received - candidates
+    received_sq, along, direction_sq = np.sum(offsets**2, axis=1), offsets @ direction, direction @ direction
 
     for copies in copy_plans:
-        found = _binary_search_shift(candidates, scope.w_received, direction, copies)
-        if found is not None:
-            shift, crafted = found
+        shift = krum_shift_upper_bound(candidates, scope.w_received, copies, sq)
+        if shift >= SHIFT_FLOOR:
+            # the search's first crafted model; every later one lies between it and w, so this checks them all
+            as_vector(scope.w_received - shift * direction)
+        shift = _binary_search_shift(sq, received_sq, along, direction_sq, copies, shift)
+        if shift is not None:
+            crafted = scope.w_received - shift * direction
             out = np.empty((c, dim))
             out[0] = crafted
             for i in range(1, c):

@@ -10,9 +10,10 @@ devices are actually compromised.
 
 The m leave-one-out aggregates never rerun the rule m times.  Mean,
 trimmed mean and median sort each column once and subtract one clipped
-value per model from the sum of one window; Krum and Bulyan select within
-rows of one pairwise distance matrix, Bulyan with the theta and gamma of
-each subset's m-1 models.
+value per model from the sum of one window.  Krum sorts each row of one
+pairwise distance matrix once and takes every subset's scores from its
+prefix sums; Bulyan selects within rows of that matrix, with the theta and
+gamma of each subset's m-1 models.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from flrlab.aggregation import (
     aggregate,
     bulyan_counts,
     bulyan_within,
-    krum_select,
     pairwise_sq_dists,
 )
 from flrlab.core import as_model_matrix
@@ -72,9 +72,18 @@ def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
     to [s_beta, s_{m-1-beta}], over m-1-2*beta.  That sum holds only values
     inside the window, so values far outside it add no rounding error.
 
-    Krum and Bulyan build one pairwise distance matrix and select within each
-    row subset: Krum once, Bulyan theta times with the counts of the subset's
-    m-1 models.  Both are identical to rerunning the rule on the subset.
+    Krum and Bulyan build one pairwise distance matrix.  Krum sorts each row
+    once: with o_j the m-1 distances from j to the others in ascending order
+    and P_j their prefix sums, j's score is P_j[m-c-2], and without model i
+    it is P_j[k+1] - d_ji if d_ji < o_j[k] and P_j[k] otherwise
+    (k = m-c-3; a tie at o_j[k] leaves the same k values).  Comparing values,
+    not ranks, leaves no ambiguity where a duplicate's 0 ties self's.  The
+    argmin over j != i takes the lowest index on ties.  The sums differ from
+    :func:`~flrlab.aggregation.neighbor_score_sums` by rounding only, so only
+    scores that agree to rounding can pick differently; the tests check the
+    picks against rerunning Krum on each subset.  Bulyan selects within each
+    row subset with the subset's counts (``bulyan_within``), which is
+    identical to rerunning it on the subset.
     """
     m, c = models.shape[0], agg_spec.assumed_compromised
     agg_spec.validate(m - 1)
@@ -88,11 +97,19 @@ def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
             yield (window - np.clip(row, low, high)) / (m - 1 - 2 * beta)
         return
     sq = pairwise_sq_dists(models)
+    if agg_spec.rule == "krum":
+        k = m - c - 3
+        others = np.sort(sq, axis=1)[:, 1:]
+        prefix = np.zeros((m, m))
+        np.cumsum(others, axis=1, out=prefix[:, 1:])
+        yield models[np.argmin(prefix[:, m - c - 2])]
+        # without[i, j]: j's score without model i
+        without = np.where(sq.T < others[:, k], prefix[:, k + 1] - sq.T, prefix[:, k])
+        np.fill_diagonal(without, np.inf)
+        yield from models[np.argmin(without, axis=1)]
+        return
     for rows in [np.arange(m)] + [np.flatnonzero(np.arange(m) != i) for i in range(m)]:
-        if agg_spec.rule == "krum":
-            yield models[krum_select(sq, rows, c)]
-        else:
-            yield bulyan_within(models, sq, rows, c, *bulyan_counts(len(rows), c))
+        yield bulyan_within(models, sq, rows, c, *bulyan_counts(len(rows), c))
 
 
 def impact_scores(

@@ -3,6 +3,9 @@ import pytest
 
 from flrlab.aggregation import RULES, krum, trimmed_mean
 from flrlab.attacks import (
+    KNOWLEDGE_MODES,
+    OBJECTIVES,
+    SHIFT_FLOOR,
     SUPPORT_RADIUS,
     AttackSpec,
     KnowledgeScope,
@@ -105,6 +108,103 @@ class TestShiftUpperBound:
             krum_shift_upper_bound(np.zeros((4, 2)), np.zeros(2), 3)
 
 
+def augmentation_scope():
+    """Frozen partial-knowledge geometry where a single crafted replica is never
+    selected but the search succeeds after padding the evaluation set to 4 copies."""
+    rng = RngStream(0, "hunt2").generator()
+    c = int(rng.integers(4, 10))
+    d = int(rng.integers(2, 6))
+    models = rng.standard_normal((c, d)) * rng.uniform(0.5, 2.0, size=(c, 1))
+    w_re = rng.standard_normal(d) * rng.uniform(0.1, 3.0)
+    return KnowledgeScope("partial", models, w_re), c, rng
+
+
+def reference_search(scope, spec, c):
+    """attack_krum's search, stacking every evaluation set for the Krum oracle:
+    (copies, shift, crafted model), or None without a solution."""
+    candidates = scope.models[c:] if scope.mode == "full" else scope.models
+    plans = [c] if scope.mode == "full" else range(1, c + 1)
+    if spec.objective == "deviation":
+        direction = np.ones(scope.w_received.shape[0])
+    else:
+        direction = estimate_direction(scope, spec, c)
+    for copies in (a for a in plans if len(candidates) - a - 1 > 0):
+        shift = krum_shift_upper_bound(candidates, scope.w_received, copies)
+        while shift >= SHIFT_FLOOR:
+            crafted = scope.w_received - shift * direction
+            if oracle_krum([crafted.tolist()] * copies + candidates.tolist(), copies)[0] < copies:
+                return copies, shift, crafted
+            shift *= 0.5
+    return None
+
+
+class TestScalarSearch:
+    """The search fills the crafted rows from scalars; stacking each evaluation set gives the same answer."""
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("mode", KNOWLEDGE_MODES)
+    def test_matches_stacked_oracle_search(self, mode, objective):
+        rng = RngStream(31, f"search/{mode}/{objective}").generator()
+        m, c = (10, 3) if mode == "full" else (6, 6)
+        scopes = [augmentation_scope()[:2]] if mode == "partial" else []
+        for _ in range(20):
+            models = rng.standard_normal((m, 4)) * rng.uniform(0.5, 2.0, size=(m, 1))
+            scopes.append((KnowledgeScope(mode, models, rng.standard_normal(4) * 0.5), c))
+        outcomes = set()
+        for scope, c in scopes:
+            spec = AttackSpec("krum", objective=objective)
+            result = attack_krum(scope, spec, c, RngStream(0, "support").generator())
+            expected = reference_search(scope, spec, c)
+            if expected is None:
+                assert not result.success
+            else:
+                copies, shift, crafted = expected
+                assert (result.crafted_copies, result.shift) == (copies, shift)
+                assert np.array_equal(result.models[0], crafted)
+            outcomes.add(None if expected is None else expected[0])
+        assert len(outcomes) > 1  # successes and failures, or several copy counts
+
+    def test_no_solution_after_halving_to_the_floor(self):
+        # a tight cluster far from w: every crafted model near w loses to the cluster
+        rng = RngStream(32, "search/floor").generator()
+        w_re = np.full(4, 5.0)
+        scope = KnowledgeScope("full", 0.01 * rng.standard_normal((10, 4)), w_re)
+        assert krum_shift_upper_bound(scope.models[3:], w_re, 3) > 100 * SHIFT_FLOOR
+        assert reference_search(scope, AttackSpec("krum"), 3) is None
+        result = attack_krum(scope, AttackSpec("krum"), 3, rng)
+        assert not result.success and result.shift is None
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rejects_a_non_finite_crafted_model(self):
+        # the models are finite but their distances overflow, so the shift bound
+        # and the first crafted model are not finite
+        models = np.array([[1e300, 0.0], [-1e300, 0.0], [1e300, 1.0], [-1e300, 1.0], [0.0, 1e300]])
+        scope = KnowledgeScope("full", models, np.zeros(2))
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            attack_krum(scope, AttackSpec("krum", objective="deviation"), 1, RngStream(0, "a").generator())
+
+    # the row counts of the matrices built: the candidates' one, after the direction's
+    # Krum over all m models in a full-knowledge directed attack (m = 10, c = 3; partial c = 6)
+    @pytest.mark.parametrize(
+        "mode, objective, expected",
+        [("full", "deviation", [7]), ("full", "directed_deviation", [10, 7]), ("partial", "directed_deviation", [6])],
+    )
+    def test_one_distance_matrix_per_attack(self, monkeypatch, mode, objective, expected):
+        from flrlab import aggregation, attacks
+
+        build, calls = aggregation.pairwise_sq_dists, []
+        for module in (aggregation, attacks):
+            monkeypatch.setattr(module, "pairwise_sq_dists", lambda arr: calls.append(len(arr)) or build(arr))
+        if mode == "partial":
+            scope, c, rng = augmentation_scope()
+        else:
+            rng = RngStream(2, "a").generator()
+            scope, c = full_scope(rng)
+        result = attack_krum(scope, AttackSpec("krum", objective=objective), c, rng)
+        assert result.success and calls == expected
+        assert mode == "full" or result.crafted_copies == 4  # partial searched four copy plans
+
+
 class TestAttackKrum:
     def test_no_solution_when_benign_equal_received(self):
         w = np.array([0.3, 0.3])
@@ -166,14 +266,8 @@ class TestAttackKrum:
         assert successes > 25
 
     def test_partial_knowledge_augmentation_adds_copies(self):
-        # Frozen geometry where a single crafted replica is never selected but
-        # the iterative search succeeds after padding the evaluation set.
-        rng = RngStream(0, "hunt2").generator()
-        c = int(rng.integers(4, 10))
-        d = int(rng.integers(2, 6))
-        models = rng.standard_normal((c, d)) * rng.uniform(0.5, 2.0, size=(c, 1))
-        w_re = rng.standard_normal(d) * rng.uniform(0.1, 3.0)
-        scope = KnowledgeScope("partial", models, w_re)
+        scope, c, rng = augmentation_scope()
+        models = scope.models
         result = attack_krum(scope, AttackSpec("krum"), c, rng)
         assert result.success
         assert result.crafted_copies == 4

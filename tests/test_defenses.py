@@ -44,6 +44,26 @@ def trained_models(validation, model_spec, count=6, noise=0.2, seed=5):
     return w + noise * rng.standard_normal((count, model_spec.dim))
 
 
+def fast_path_case(case, validation, model_spec):
+    """Models, model spec and validation set of one Krum-family leave-one-out case."""
+    rng = RngStream(7, "d").generator()
+    if case == "gram":
+        # 10 models of d = 168002: m*m*d > 2**24, so the defense's matrix takes the
+        # Gram path, while each rerun's 9 models (81*d < 2**24) take the direct one
+        gram_spec = ModelSpec("lr", 84_000, 2)
+        gram_validation = synth_blobs(2, 10, 84_000, 0.15, RngStream(100, "val-gram").generator())
+        return rng.standard_normal((10, gram_spec.dim)), gram_spec, gram_validation
+    models = rng.standard_normal((6 if case == "smallest-m" else 8, model_spec.dim))  # smallest: m-1 = c+3
+    if case == "duplicates":
+        # rows 1, 4 and 6 are one model (Krum's pick) and 5 repeats 2: leaving out
+        # 4, 5 or 6 leaves a lower-index duplicate in the subset
+        models[[4, 6]] = models[1]
+        models[5] = models[2]
+    if case == "identical":
+        models[:] = models[0]  # every score ties, so the lowest index wins
+    return models, model_spec, validation
+
+
 class TestImpactScores:
     def test_identical_models_zero_impact(self, validation, model_spec):
         models = np.tile(np.linspace(-1, 1, model_spec.dim), (5, 1))
@@ -66,12 +86,22 @@ class TestImpactScores:
             assert error_impact == pytest.approx(expect_err, abs=1e-12)
             assert loss_impact == pytest.approx(expect_loss, abs=1e-12)
 
-    @pytest.mark.parametrize("rule, c", [("krum", 2), ("bulyan", 1)])
-    def test_krum_fast_path_matches_rule_rerun(self, validation, model_spec, monkeypatch, rule, c):
+    @pytest.mark.parametrize(
+        "rule, c, case",
+        [
+            ("krum", 2, "random"),
+            ("bulyan", 1, "random"),
+            ("krum", 2, "duplicates"),
+            ("krum", 2, "identical"),
+            ("krum", 2, "smallest-m"),
+            ("krum", 2, "gram"),
+        ],
+        ids=["krum-2", "bulyan-1", "krum-duplicates", "krum-identical", "krum-smallest-m", "krum-gram"],
+    )
+    def test_krum_fast_path_matches_rule_rerun(self, validation, model_spec, monkeypatch, rule, c, case):
         from flrlab import aggregation, defenses
 
-        rng = RngStream(7, "d").generator()
-        models = rng.standard_normal((8, model_spec.dim))
+        models, model_spec, validation = fast_path_case(case, validation, model_spec)
         spec = AggregatorSpec(rule, assumed_compromised=c)
         original, calls = aggregation.pairwise_sq_dists, []
 
@@ -82,7 +112,7 @@ class TestImpactScores:
         monkeypatch.setattr(aggregation, "pairwise_sq_dists", counted)
         monkeypatch.setattr(defenses, "pairwise_sq_dists", counted)
         impacts = impact_scores(models, spec, model_spec, validation)
-        assert calls == [8]  # one distance matrix serves the full aggregate and every subset
+        assert calls == [len(models)]  # one distance matrix serves the full aggregate and every subset
         monkeypatch.undo()
 
         obj = shard_objective(model_spec, validation)
@@ -91,6 +121,18 @@ class TestImpactScores:
             without = aggregate(spec, np.delete(models, i, axis=0))
             assert error_impact == error_rate(model_spec, full, validation) - error_rate(model_spec, without, validation)
             assert loss_impact == loss(obj, full) - loss(obj, without)
+
+    def test_krum_impacts_select_without_krum_select(self, validation, model_spec, monkeypatch):
+        from flrlab import aggregation, defenses
+
+        models = RngStream(7, "d").generator().standard_normal((8, model_spec.dim))
+        build, select = aggregation.pairwise_sq_dists, aggregation.krum_select
+        builds, selects = [], []
+        for module in (aggregation, defenses):
+            monkeypatch.setattr(module, "pairwise_sq_dists", lambda *args: builds.append(1) or build(*args))
+            monkeypatch.setattr(module, "krum_select", lambda *args: selects.append(1) or select(*args), raising=False)
+        impact_scores(models, AggregatorSpec("krum", assumed_compromised=2), model_spec, validation)
+        assert len(builds) == 1 and not selects  # every selection comes from one sorted matrix
 
     def test_window_rules_make_one_aggregate_call(self, validation, model_spec, monkeypatch):
         from flrlab import defenses
