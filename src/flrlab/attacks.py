@@ -112,16 +112,17 @@ def estimate_direction(scope: KnowledgeScope, spec: AttackSpec, compromised_coun
     return signed_direction(before, scope.w_received)
 
 
-def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int, sq_dists=None) -> float:
+def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int, sq_dists=None, received_sq=None) -> float:
     """Largest shift for which the crafted model could still win Krum.
 
     ``candidate_models`` are the models the attacker treats as benign (the
     true benign ones in full knowledge, the compromised before-attack ones
     in partial knowledge); the evaluation set is those plus
     ``crafted_count`` identical crafted replicas.  ``sq_dists`` is the
-    candidates' pairwise squared-distance matrix: :func:`attack_krum` passes
-    the one its search shares across copy counts; without it the matrix is
-    built here, which checks the models.
+    candidates' pairwise squared-distance matrix and ``received_sq`` their
+    squared distances |w - c_j|^2 to the received model: :func:`attack_krum`
+    passes the ones its search shares across copy counts; without them they
+    are computed here, and building the matrix checks the models.
     """
     if sq_dists is None:
         sq_dists = pairwise_sq_dists(candidate_models)
@@ -135,7 +136,9 @@ def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int, sq_
         raise ValueError(f"bound undefined: need crafted_count <= candidates-2 (n={n}, crafted={crafted_count})")
     neighbor_sums = neighbor_score_sums(sq_dists, n - 2)
     term1 = np.sqrt(neighbor_sums.min() / (denom * dim))
-    term2 = np.sqrt(np.sum((cand - w_re) ** 2, axis=1)).max() / np.sqrt(dim)
+    if received_sq is None:
+        received_sq = np.sum((cand - w_re) ** 2, axis=1)
+    term2 = np.sqrt(received_sq).max() / np.sqrt(dim)
     return float(term1 + term2)
 
 
@@ -225,7 +228,7 @@ def attack_krum(
     received_sq, along, direction_sq = np.sum(offsets**2, axis=1), offsets @ direction, direction @ direction
 
     for copies in copy_plans:
-        shift = krum_shift_upper_bound(candidates, scope.w_received, copies, sq)
+        shift = krum_shift_upper_bound(candidates, scope.w_received, copies, sq, received_sq)
         if shift >= SHIFT_FLOOR:
             # the search's first crafted model; every later one lies between it and w, so this checks them all
             as_vector(scope.w_received - shift * direction)

@@ -13,7 +13,9 @@ trimmed mean and median sort each column once and subtract one clipped
 value per model from the sum of one window.  Krum sorts each row of one
 pairwise distance matrix once and takes every subset's scores from its
 prefix sums; Bulyan selects within rows of that matrix, with the theta and
-gamma of each subset's m-1 models.
+gamma of each subset's m-1 models.  All m+1 aggregates are then scored in
+one stacked forward pass over the validation set; Krum's, which pick among
+a few distinct models, score only those.
 """
 
 from __future__ import annotations
@@ -22,16 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flrlab.aggregation import (
-    AggregatorSpec,
-    aggregate,
-    bulyan_counts,
-    bulyan_within,
-    pairwise_sq_dists,
-)
+# aggregate, error_rate and loss go unused here: perfbench/tracer.py patches them as defenses call sites
+from flrlab.aggregation import AggregatorSpec, aggregate, bulyan_counts, bulyan_within, pairwise_sq_dists
 from flrlab.core import as_model_matrix
 from flrlab.data import Dataset
-from flrlab.models import ModelSpec, error_rate, loss, shard_objective
+from flrlab.models import ModelSpec, error_and_loss, error_rate, loss
 
 DEFENSE_KINDS = ("none", "err", "lfr", "union")
 
@@ -56,8 +53,12 @@ class DefenseOutcome:
     removed: tuple[int, ...]
 
 
-def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
-    """Yield the aggregate of all m models, then the aggregate without each model in turn.
+def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The aggregate of all m models, then of the models without each one in
+    turn, as ``(aggregates, index)``: a (u, d) array of the distinct aggregates
+    and an (m+1,) index into it, ``index[0]`` for all models and ``index[i+1]``
+    for the set without model i.  Only Krum repeats aggregates, since its m+1
+    picks fall on a few models; every other rule returns m+1 rows in order.
 
     Mean, trimmed mean and median average a window of each sorted column,
     trimming beta values per side of the m-1 kept ones: 0, ``trim_count`` and
@@ -70,7 +71,9 @@ def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
 
     So each leave-one-out mean is the sum of ``[beta, m-beta)`` minus v clipped
     to [s_beta, s_{m-1-beta}], over m-1-2*beta.  That sum holds only values
-    inside the window, so values far outside it add no rounding error.
+    inside the window, so values far outside it add no rounding error.  The
+    full trimmed mean and median come from the same sort: the sum of the full
+    set's window over its count, which is how ``np.mean`` computes them.
 
     Krum and Bulyan build one pairwise distance matrix.  Krum sorts each row
     once: with o_j the m-1 distances from j to the others in ascending order
@@ -88,28 +91,39 @@ def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec):
     m, c = models.shape[0], agg_spec.assumed_compromised
     agg_spec.validate(m - 1)
     if agg_spec.rule in ("mean", "trimmed_mean", "median"):
-        yield aggregate(agg_spec, models)
-        beta = {"mean": 0, "trimmed_mean": agg_spec.trim_count}.get(agg_spec.rule, (m - 2) // 2)
-        ordered = np.sort(models, axis=0)
+        arr = as_model_matrix(models)
+        trim = {"mean": 0, "trimmed_mean": agg_spec.trim_count}
+        # per-side trims of all m models and of each m-1; only the median's differ
+        t, beta = trim.get(agg_spec.rule, (m - 1) // 2), trim.get(agg_spec.rule, (m - 2) // 2)
+        out = np.empty((m + 1, arr.shape[1]))
+        ordered = out[1:]  # holds the column sort, then the leave-one-out aggregates: no second (m, d) array
+        ordered[:] = arr
+        ordered.sort(axis=0)
         window = ordered[beta : m - beta].sum(axis=0)
-        low, high = ordered[beta], ordered[m - 1 - beta]
-        for row in models:
-            yield (window - np.clip(row, low, high)) / (m - 1 - 2 * beta)
-        return
+        low, high = ordered[beta].copy(), ordered[m - 1 - beta].copy()
+        if agg_spec.rule == "mean":
+            out[0] = arr.mean(axis=0)  # a sum over sorted columns would round differently
+        else:
+            out[0] = (window if t == beta else ordered[t : m - t].sum(axis=0)) / (m - 2 * t)
+        np.clip(arr, low, high, out=ordered)
+        np.subtract(window, ordered, out=ordered)
+        ordered /= m - 1 - 2 * beta
+        return out, np.arange(m + 1)
     sq = pairwise_sq_dists(models)
     if agg_spec.rule == "krum":
         k = m - c - 3
         others = np.sort(sq, axis=1)[:, 1:]
         prefix = np.zeros((m, m))
         np.cumsum(others, axis=1, out=prefix[:, 1:])
-        yield models[np.argmin(prefix[:, m - c - 2])]
         # without[i, j]: j's score without model i
         without = np.where(sq.T < others[:, k], prefix[:, k + 1] - sq.T, prefix[:, k])
         np.fill_diagonal(without, np.inf)
-        yield from models[np.argmin(without, axis=1)]
-        return
-    for rows in [np.arange(m)] + [np.flatnonzero(np.arange(m) != i) for i in range(m)]:
-        yield bulyan_within(models, sq, rows, c, *bulyan_counts(len(rows), c))
+        picks = np.concatenate(([np.argmin(prefix[:, m - c - 2])], np.argmin(without, axis=1)))
+        distinct, index = np.unique(picks, return_inverse=True)
+        return models[distinct], index
+    subsets = [np.arange(m)] + [np.flatnonzero(np.arange(m) != i) for i in range(m)]
+    aggregates = [bulyan_within(models, sq, rows, c, *bulyan_counts(len(rows), c)) for rows in subsets]
+    return np.array(aggregates), np.arange(m + 1)
 
 
 def impact_scores(
@@ -123,13 +137,8 @@ def impact_scores(
     arr = np.asarray(models, dtype=np.float64)
     if len(arr) < 2:
         raise ValueError("leave-one-out impacts need at least two models")
-    val_objective = shard_objective(model_spec, validation)
-    scores = np.array(
-        [
-            (error_rate(model_spec, w, validation), loss(val_objective, w))
-            for w in _loo_aggregates(arr, agg_spec)  # checks the matrix
-        ]
-    )
+    aggregates, index = _loo_aggregates(arr, agg_spec)  # checks the matrix
+    scores = error_and_loss(model_spec, aggregates, validation)[index]  # checks the aggregates
     return scores[0] - scores[1:]
 
 

@@ -5,6 +5,12 @@ them: one q -> L layer for LR, q -> h -> L for the MLP.  All parameters live
 in a single flat float64 vector so that per-coordinate aggregation rules
 apply directly; layer by layer, input to output, it holds the row-major
 (fan-in, fan-out) weight matrix followed by the bias: [W1, b1, W2, b2].
+
+The forward pass also takes a (B, dim) stack of such vectors, as
+:func:`error_and_loss` does to score many models in one pass: each layer's
+weights are then a (B, fan-in, fan-out) stack.  Every slice of a stacked
+product is its own BLAS call, so each model's probabilities are bit-equal
+to those of a forward pass over that model alone.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flrlab.core import as_vector
+from flrlab.core import as_model_matrix, as_vector
 from flrlab.data import Dataset, sample_batch
 
 MODEL_KINDS = ("lr", "mlp")
@@ -79,24 +85,32 @@ def shard_objective(spec: ModelSpec, dataset: Dataset, indices=None) -> Objectiv
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weights, bias) views into the flat parameter vector."""
-    layers, i = [], 0
+    """Per-layer (weights, bias) views into a flat parameter vector, or into each
+    row of a (B, dim) stack: weights (..., fan_in, fan_out), biases (..., 1, fan_out)."""
+    layers, i, batch = [], 0, params.shape[:-1]
     for fan_in, fan_out in spec.layers:
         j = i + fan_in * fan_out
-        layers.append((params[i:j].reshape(fan_in, fan_out), params[j : j + fan_out]))
+        layers.append((params[..., i:j].reshape(*batch, fan_in, fan_out), params[..., None, j : j + fan_out]))
         i = j + fan_out
     return layers
 
 
 def _forward(layers, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Returns (the input of every layer, x first; the softmax class probabilities)."""
+    """Returns (the input of every layer, x first; the softmax class probabilities).
+
+    With stacked layers every input after x and the probabilities gain the
+    stack's leading axis: (B, n, L) probabilities for B models.
+    """
     inputs = [x]
     for w, b in layers[:-1]:
         inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
     w, b = layers[-1]
-    logits = inputs[-1] @ w + b
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return inputs, e / e.sum(axis=1, keepdims=True)
+    probs = inputs[-1] @ w  # the logits, turned into probabilities in place
+    probs += b
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return inputs, probs
 
 
 def predict_proba(spec: ModelSpec, params, features) -> np.ndarray:
@@ -168,6 +182,26 @@ def error_rate(spec: ModelSpec, params, dataset: Dataset) -> float:
     probs = predict_proba(spec, params, dataset.features)
     predicted = np.argmax(probs, axis=1)
     return float(np.mean(predicted != dataset.labels))
+
+
+def error_and_loss(spec: ModelSpec, param_stack, dataset: Dataset) -> np.ndarray:
+    """(B, 2) error rate and mean cross-entropy of each row of a (B, dim) stack of
+    parameter vectors, from one forward pass over the dataset.
+
+    Row i is bit-equal to ``(error_rate(spec, w, dataset), loss(shard_objective(spec,
+    dataset), w))`` for w = ``param_stack[i]``.
+    """
+    if len(dataset) == 0:
+        raise ValueError("cannot evaluate error rate on an empty dataset")
+    stack = as_model_matrix(param_stack)
+    if stack.shape[1] != spec.dim:
+        raise ValueError(f"expected dimension {spec.dim}, got {stack.shape[1]}")
+    objective = shard_objective(spec, dataset)
+    probs = _forward(_unpack(spec, stack), objective.features)[1]
+    errors = np.mean(np.argmax(probs, axis=-1) != objective.labels, axis=-1)
+    picked = np.log(np.clip(probs[:, np.arange(objective.size), objective.labels], PROB_FLOOR, 1.0))
+    # row by row: a mean along the last axis of the (B, n) array rounds differently from the 1-D one
+    return np.column_stack((errors, [-np.mean(row) for row in picked]))
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:

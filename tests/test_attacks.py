@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flrlab.aggregation import RULES, krum, trimmed_mean
+from flrlab.aggregation import RULES, krum, pairwise_sq_dists, trimmed_mean
 from flrlab.attacks import (
     KNOWLEDGE_MODES,
     OBJECTIVES,
@@ -94,6 +94,14 @@ class TestShiftUpperBound:
             crafted = int(rng.integers(1, n - 1))
             ours = krum_shift_upper_bound(cand, w_re, crafted)
             assert ours == pytest.approx(oracle_shift_bound(cand.tolist(), w_re.tolist(), crafted), rel=1e-12)
+
+    def test_shared_distances_give_the_same_bits(self):
+        # attack_krum passes the matrix and |w - c_j|^2 its search already holds
+        rng = RngStream(13, "bound").generator()
+        cand = rng.standard_normal((7, 5))
+        w_re = rng.standard_normal(5)
+        shared = krum_shift_upper_bound(cand, w_re, 2, pairwise_sq_dists(cand), np.sum((w_re - cand) ** 2, axis=1))
+        assert shared == krum_shift_upper_bound(cand, w_re, 2)
 
     def test_homogeneous_in_scale(self):
         rng = RngStream(12, "bound").generator()

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flrlab.aggregation import AggregatorSpec, aggregate, bulyan
+from flrlab.aggregation import AggregatorSpec, aggregate, bulyan, krum
 from flrlab.core import RngStream
 from flrlab.data import Dataset, synth_blobs
 from flrlab.defenses import (
@@ -44,16 +44,25 @@ def trained_models(validation, model_spec, count=6, noise=0.2, seed=5):
     return w + noise * rng.standard_normal((count, model_spec.dim))
 
 
-def fast_path_case(case, validation, model_spec):
-    """Models, model spec and validation set of one Krum-family leave-one-out case."""
+def loo_rows(models, spec):
+    """The m+1 leave-one-out aggregates in order: of all models, then without each."""
+    aggregates, index = _loo_aggregates(models, spec)
+    return aggregates[index]
+
+
+SMALLEST_M = {"mean": 2, "trimmed_mean": 6, "median": 2, "krum": 6, "bulyan": 6}  # the m-1 models must be legal
+
+
+def fast_path_case(case, validation, model_spec, rule="krum"):
+    """Models, model spec and validation set of one leave-one-out case."""
     rng = RngStream(7, "d").generator()
     if case == "gram":
-        # 10 models of d = 168002: m*m*d > 2**24, so the defense's matrix takes the
-        # Gram path, while each rerun's 9 models (81*d < 2**24) take the direct one
-        gram_spec = ModelSpec("lr", 84_000, 2)
+        # 10 models of d = 168002 (LR) or 168008 (MLP): m*m*d > 2**24, so the defense's matrix
+        # takes the Gram path, while each rerun's 9 models (81*d < 2**24) take the direct one
+        gram_spec = ModelSpec(model_spec.kind, 84_000, 2, hidden=2)
         gram_validation = synth_blobs(2, 10, 84_000, 0.15, RngStream(100, "val-gram").generator())
         return rng.standard_normal((10, gram_spec.dim)), gram_spec, gram_validation
-    models = rng.standard_normal((6 if case == "smallest-m" else 8, model_spec.dim))  # smallest: m-1 = c+3
+    models = rng.standard_normal((SMALLEST_M[rule] if case == "smallest-m" else 8, model_spec.dim))
     if case == "duplicates":
         # rows 1, 4 and 6 are one model (Krum's pick) and 5 repeats 2: leaving out
         # 4, 5 or 6 leaves a lower-index duplicate in the subset
@@ -134,7 +143,7 @@ class TestImpactScores:
         impact_scores(models, AggregatorSpec("krum", assumed_compromised=2), model_spec, validation)
         assert len(builds) == 1 and not selects  # every selection comes from one sorted matrix
 
-    def test_window_rules_make_one_aggregate_call(self, validation, model_spec, monkeypatch):
+    def test_window_rules_make_no_aggregate_call(self, validation, model_spec, monkeypatch):
         from flrlab import defenses
 
         rng = RngStream(12, "d").generator()
@@ -149,7 +158,7 @@ class TestImpactScores:
         for spec in (AggregatorSpec("trimmed_mean", trim_count=2), AggregatorSpec("median"), AggregatorSpec("mean")):
             calls.clear()
             impact_scores(models, spec, model_spec, validation)
-            assert calls == [9]  # the full aggregate; every leave-one-out aggregate is a closed form
+            assert calls == []  # the full and every leave-one-out aggregate come from one column sort
 
     def test_permutation_equivariant(self, validation, model_spec):
         rng = RngStream(8, "d").generator()
@@ -174,11 +183,85 @@ class TestImpactScores:
         # At m*m*d > 2**24 the distances come from the Gram path, where a
         # sub-block of the full matrix need not equal the subset's own matrix.
         models = RngStream(m, "loo-bulyan").generator().standard_normal((m, d))
-        loo = list(_loo_aggregates(models, AggregatorSpec("bulyan", assumed_compromised=c)))
+        loo = loo_rows(models, AggregatorSpec("bulyan", assumed_compromised=c))
         assert np.array_equal(loo[0], bulyan(models, c, m - 2 * c, m - 4 * c))
         theta = m - 1 - 2 * c
         for i, without in enumerate(loo[1:]):
             assert np.array_equal(without, bulyan(np.delete(models, i, 0), c, theta, theta - 2 * c))
+
+
+ORACLE_RULES = {
+    "mean": AggregatorSpec("mean"),
+    "trimmed_mean": AggregatorSpec("trimmed_mean", trim_count=2),
+    "median": AggregatorSpec("median"),
+    "krum": AggregatorSpec("krum", assumed_compromised=2),
+    "bulyan": AggregatorSpec("bulyan", assumed_compromised=1),
+}
+STACKED_CASES = [(rule, case) for case in ("random", "smallest-m") for rule in ORACLE_RULES] + [
+    ("krum", "duplicates"),
+    ("krum", "identical"),
+    ("krum", "gram"),
+]
+
+
+def reference_impacts(models, agg_spec, model_spec, validation):
+    """The impacts from scoring each leave-one-out aggregate on its own."""
+    aggregates, index = _loo_aggregates(np.asarray(models, dtype=np.float64), agg_spec)
+    obj = shard_objective(model_spec, validation)
+    scores = np.array([(error_rate(model_spec, aggregates[k], validation), loss(obj, aggregates[k])) for k in index])
+    return scores[0] - scores[1:]
+
+
+def krum_picks(models, c):
+    """The model index Krum picks from all models, then from the set without each model."""
+    picks = [krum(models, c)[0]]
+    for i in range(len(models)):
+        j = krum(np.delete(models, i, axis=0), c)[0]
+        picks.append(j + (j >= i))
+    return picks
+
+
+class TestStackedScoring:
+    """All leave-one-out aggregates scored in one forward pass, bit-equal to scoring each."""
+
+    @pytest.mark.parametrize("kind", ["lr", "mlp"])
+    @pytest.mark.parametrize("rule, case", STACKED_CASES, ids=[f"{r}-{c}" for r, c in STACKED_CASES])
+    def test_matches_one_score_per_aggregate(self, validation, kind, rule, case):
+        models, model_spec, validation = fast_path_case(case, validation, ModelSpec(kind, 2, 2, hidden=4), rule)
+        impacts = impact_scores(models, ORACLE_RULES[rule], model_spec, validation)
+        assert np.array_equal(impacts, reference_impacts(models, ORACLE_RULES[rule], model_spec, validation))
+
+    @pytest.mark.parametrize("rule", ["mean", "trimmed_mean", "median"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_window_sum_is_rejected(self, validation, model_spec, rule):
+        # finite rows near +-1e308 whose window sums overflow to +-inf
+        rng = RngStream(22, "stacked/overflow").generator()
+        models = 1e308 * (1 - 0.01 * rng.random((9, model_spec.dim))) * np.array([1, -1, 1, -1, 1, -1])
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            impact_scores(models, ORACLE_RULES[rule], model_spec, validation)
+
+    @pytest.mark.parametrize("rule", sorted(ORACLE_RULES))
+    def test_one_forward_pass_and_no_single_model_scoring(self, validation, model_spec, rule, monkeypatch):
+        from flrlab import defenses, models as models_module
+
+        models = fast_path_case("random", validation, model_spec, rule)[0]
+        forward, passes, singles = models_module._forward, [], []
+
+        def counted_forward(layers, x):
+            passes.append(layers[0][0].shape[:-2])  # the stack's leading axis
+            return forward(layers, x)
+
+        monkeypatch.setattr(models_module, "_forward", counted_forward)
+        monkeypatch.setattr(defenses, "error_rate", lambda *args: singles.append(args))
+        monkeypatch.setattr(defenses, "loss", lambda *args: singles.append(args))
+        impact_scores(models, ORACLE_RULES[rule], model_spec, validation)
+        assert not singles
+        assert len(passes) == 1
+        if rule == "krum":  # only the distinct picks are scored
+            distinct = len(set(krum_picks(models, 2)))
+            assert passes[0][0] <= distinct < len(models) + 1
+        else:
+            assert passes[0] == (len(models) + 1,)
 
 
 class TestDefendErr:
@@ -298,7 +381,7 @@ class TestWindowLeaveOneOut:
         models[:, 0] = 0.5  # a fully tied column
         models[:, 1] = np.round(models[:, 1])  # a column of few distinct values
         for spec in window_specs(rng, m):
-            loo = list(_loo_aggregates(models, spec))
+            loo = loo_rows(models, spec)
             assert len(loo) == m + 1
             assert np.array_equal(loo[0], aggregate(spec, models))
             for i, without in enumerate(loo[1:]):
@@ -313,7 +396,7 @@ class TestWindowLeaveOneOut:
         models = 0.01 * rng.standard_normal((100, 50))
         models[:20] = -1e8 * (1 + rng.random((20, 50)))
         for spec in (AggregatorSpec("median"), AggregatorSpec("trimmed_mean", trim_count=20)):
-            for i, without in enumerate(list(_loo_aggregates(models, spec))[1:]):
+            for i, without in enumerate(loo_rows(models, spec)[1:]):
                 assert np.allclose(without, aggregate(spec, np.delete(models, i, axis=0)), rtol=0, atol=1e-15)
 
     def test_removal_sets_match_rule_rerun(self, validation, model_spec):

@@ -20,7 +20,7 @@ from flrlab.attacks import KnowledgeScope, attack_gaussian, krum_shift_upper_bou
 from flrlab.core import RngStream
 from flrlab.data import synth_blobs
 from flrlab.defenses import DefenseSpec, apply_defense, impact_scores
-from flrlab.models import ModelSpec, gradient, local_update, loss, predict_proba, shard_objective
+from flrlab.models import ModelSpec, error_and_loss, gradient, local_update, loss, predict_proba, shard_objective
 
 M, D = 7, 6  # LR over 2 features and 2 classes has 6 parameters
 SPEC = ModelSpec("lr", 2, 2)
@@ -50,6 +50,7 @@ MATRIX_ENTRIES = {
     "bulyan": lambda m: bulyan(m, 1, 3, 1),
     "aggregate": lambda m: aggregate(AggregatorSpec("trimmed_mean", trim_count=1), m),
     "impact_scores": lambda m: impact_scores(m, MEAN, SPEC, VALIDATION),
+    "error_and_loss": lambda m: error_and_loss(SPEC, m, VALIDATION),
     "apply_defense": lambda m: apply_defense(m, AggregatorSpec("mean", assumed_compromised=1), SPEC,
                                              DefenseSpec("err", VALIDATION)),
     "krum_shift_upper_bound": lambda m: krum_shift_upper_bound(m, np.zeros(D), 1),

@@ -6,6 +6,7 @@ from flrlab.data import Dataset, synth_blobs
 from flrlab.models import (
     ModelSpec,
     Objective,
+    error_and_loss,
     error_rate,
     gradient,
     init_params,
@@ -221,3 +222,29 @@ class TestTrainingSanity:
             cur = loss(obj, w)
             assert cur <= prev + 1e-12
             prev = cur
+
+
+class TestErrorAndLoss:
+    """One stacked forward pass against scoring each parameter vector on its own."""
+
+    @pytest.mark.parametrize("kind", ["lr", "mlp"])
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_rows_are_bit_equal_to_single_vector_scores(self, kind, count):
+        spec, obj, rng = toy_objective(kind=kind, n=40, q=6, L=4, hidden=5)
+        data = Dataset(obj.features, obj.labels, spec.num_classes)
+        stack = 2.0 * rng.standard_normal((count, spec.dim))
+        scores = error_and_loss(spec, stack, data)
+        expected = [(error_rate(spec, w, data), loss(obj, w)) for w in stack]
+        assert scores.shape == (count, 2)
+        assert np.array_equal(scores, np.array(expected))
+
+    def test_rejects_a_stack_of_the_wrong_dimension(self):
+        spec, obj, _ = toy_objective()
+        data = Dataset(obj.features, obj.labels, spec.num_classes)
+        with pytest.raises(ValueError, match="dimension"):
+            error_and_loss(spec, np.zeros((2, spec.dim + 1)), data)
+
+    def test_rejects_an_empty_dataset(self):
+        spec = ModelSpec("lr", 4, 3)
+        with pytest.raises(ValueError, match="empty"):
+            error_and_loss(spec, np.zeros((2, spec.dim)), Dataset(np.empty((0, 4)), np.empty(0, dtype=int), 3))
