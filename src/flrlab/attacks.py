@@ -112,23 +112,18 @@ def estimate_direction(scope: KnowledgeScope, spec: AttackSpec, compromised_coun
     return signed_direction(before, scope.w_received)
 
 
-def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int, sq_dists=None, received_sq=None) -> float:
+def krum_shift_upper_bound(sq_dists, received_sq, crafted_count: int, dim: int) -> float:
     """Largest shift for which the crafted model could still win Krum.
 
-    ``candidate_models`` are the models the attacker treats as benign (the
-    true benign ones in full knowledge, the compromised before-attack ones
-    in partial knowledge); the evaluation set is those plus
-    ``crafted_count`` identical crafted replicas.  ``sq_dists`` is the
-    candidates' pairwise squared-distance matrix and ``received_sq`` their
-    squared distances |w - c_j|^2 to the received model: :func:`attack_krum`
-    passes the ones its search shares across copy counts; without them they
-    are computed here, and building the matrix checks the models.
+    The candidates are the models the attacker treats as benign (the true
+    benign ones in full knowledge, the compromised before-attack ones in
+    partial knowledge); the evaluation set is those plus ``crafted_count``
+    identical crafted replicas.  ``sq_dists`` is the candidates' (n, n)
+    pairwise squared-distance matrix, ``received_sq`` their squared
+    distances |w - c_j|^2 to the received model and ``dim`` the models'
+    dimension: :func:`attack_krum` shares the first two with its search.
     """
-    if sq_dists is None:
-        sq_dists = pairwise_sq_dists(candidate_models)
-    cand = np.asarray(candidate_models, dtype=np.float64)
-    n, dim = cand.shape
-    w_re = as_vector(w_received, dim=dim)
+    n = len(sq_dists)
     if n < 3:
         raise ValueError("need at least three candidate models for the neighbour sums")
     denom = n - crafted_count - 1
@@ -136,8 +131,6 @@ def krum_shift_upper_bound(candidate_models, w_received, crafted_count: int, sq_
         raise ValueError(f"bound undefined: need crafted_count <= candidates-2 (n={n}, crafted={crafted_count})")
     neighbor_sums = neighbor_score_sums(sq_dists, n - 2)
     term1 = np.sqrt(neighbor_sums.min() / (denom * dim))
-    if received_sq is None:
-        received_sq = np.sum((cand - w_re) ** 2, axis=1)
     term2 = np.sqrt(received_sq).max() / np.sqrt(dim)
     return float(term1 + term2)
 
@@ -228,7 +221,7 @@ def attack_krum(
     received_sq, along, direction_sq = np.sum(offsets**2, axis=1), offsets @ direction, direction @ direction
 
     for copies in copy_plans:
-        shift = krum_shift_upper_bound(candidates, scope.w_received, copies, sq, received_sq)
+        shift = krum_shift_upper_bound(sq, received_sq, copies, dim)
         if shift >= SHIFT_FLOOR:
             # the search's first crafted model; every later one lies between it and w, so this checks them all
             as_vector(scope.w_received - shift * direction)

@@ -28,7 +28,7 @@ import numpy as np
 from flrlab.aggregation import AggregatorSpec, aggregate, bulyan_counts, bulyan_within, pairwise_sq_dists
 from flrlab.core import as_model_matrix
 from flrlab.data import Dataset
-from flrlab.models import ModelSpec, error_and_loss, error_rate, loss
+from flrlab.models import ModelSpec, error_and_loss, error_rate, loss, shard_objective
 
 DEFENSE_KINDS = ("none", "err", "lfr", "union")
 
@@ -138,7 +138,7 @@ def impact_scores(
     if len(arr) < 2:
         raise ValueError("leave-one-out impacts need at least two models")
     aggregates, index = _loo_aggregates(arr, agg_spec)  # checks the matrix
-    scores = error_and_loss(model_spec, aggregates, validation)[index]  # checks the aggregates
+    scores = error_and_loss(shard_objective(model_spec, validation), aggregates)[index]  # checks the aggregates
     return scores[0] - scores[1:]
 
 

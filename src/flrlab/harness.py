@@ -446,7 +446,10 @@ def _coerce(name: str, raw: str):
     text = raw.strip()
     if type(None) in types and text.lower() in ("none", ""):
         return None
-    return types[0](text)
+    try:
+        return types[0](text)
+    except ValueError:
+        raise ConfigError(f"{name} must be {types[0].__name__}, got {raw!r}") from None
 
 
 def config_from_mapping(mapping: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:

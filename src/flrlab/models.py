@@ -6,11 +6,12 @@ in a single flat float64 vector so that per-coordinate aggregation rules
 apply directly; layer by layer, input to output, it holds the row-major
 (fan-in, fan-out) weight matrix followed by the bias: [W1, b1, W2, b2].
 
-The forward pass also takes a (B, dim) stack of such vectors, as
-:func:`error_and_loss` does to score many models in one pass: each layer's
+The forward pass also takes a (B, dim) stack of such vectors: each layer's
 weights are then a (B, fan-in, fan-out) stack.  Every slice of a stacked
 product is its own BLAS call, so each model's probabilities are bit-equal
-to those of a forward pass over that model alone.
+to those of a forward pass over that model alone.  :func:`error_and_loss`
+is the one scorer: it takes a stack's error rates and cross-entropies from
+one such pass, and :func:`error_rate` and :func:`loss` are its one-row case.
 """
 
 from __future__ import annotations
@@ -113,23 +114,9 @@ def _forward(layers, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     return inputs, probs
 
 
-def predict_proba(spec: ModelSpec, params, features) -> np.ndarray:
-    """(n, L) class probabilities of an (n, q) feature matrix."""
-    p = as_vector(params, dim=spec.dim)
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.num_features:
-        raise ValueError(f"features must be an (n, {spec.num_features}) matrix, got shape {x.shape}")
-    return _forward(_unpack(spec, p), x)[1]
-
-
 def loss(objective: Objective, params) -> float:
     """Mean cross-entropy over the shard, probabilities clamped at 1e-12."""
-    if objective.size == 0:
-        raise ValueError("cannot evaluate loss on an empty shard")
-    p = as_vector(params, dim=objective.spec.dim)
-    probs = _forward(_unpack(objective.spec, p), objective.features)[1]
-    picked = probs[np.arange(objective.size), objective.labels]
-    return float(-np.mean(np.log(np.clip(picked, PROB_FLOOR, 1.0))))
+    return float(error_and_loss(objective, as_vector(params, dim=objective.spec.dim)[None])[0, 1])
 
 
 def gradient(objective: Objective, params, batch_indices=None) -> np.ndarray:
@@ -177,27 +164,22 @@ def local_update(
 
 def error_rate(spec: ModelSpec, params, dataset: Dataset) -> float:
     """Fraction of misclassified instances; argmax ties go to the lowest class."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate error rate on an empty dataset")
-    probs = predict_proba(spec, params, dataset.features)
-    predicted = np.argmax(probs, axis=1)
-    return float(np.mean(predicted != dataset.labels))
+    return float(error_and_loss(shard_objective(spec, dataset), as_vector(params, dim=spec.dim)[None])[0, 0])
 
 
-def error_and_loss(spec: ModelSpec, param_stack, dataset: Dataset) -> np.ndarray:
-    """(B, 2) error rate and mean cross-entropy of each row of a (B, dim) stack of
-    parameter vectors, from one forward pass over the dataset.
+def error_and_loss(objective: Objective, param_stack) -> np.ndarray:
+    """(B, 2) error rate and mean cross-entropy over the shard of each row of a
+    (B, dim) stack of parameter vectors, from one forward pass.
 
-    Row i is bit-equal to ``(error_rate(spec, w, dataset), loss(shard_objective(spec,
-    dataset), w))`` for w = ``param_stack[i]``.
+    Argmax ties go to the lowest class, and probabilities are clamped at 1e-12
+    before the log.  :func:`error_rate` and :func:`loss` are its one-row case.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate error rate on an empty dataset")
+    if objective.size == 0:
+        raise ValueError("cannot evaluate an empty shard")
     stack = as_model_matrix(param_stack)
-    if stack.shape[1] != spec.dim:
-        raise ValueError(f"expected dimension {spec.dim}, got {stack.shape[1]}")
-    objective = shard_objective(spec, dataset)
-    probs = _forward(_unpack(spec, stack), objective.features)[1]
+    if stack.shape[1] != objective.spec.dim:
+        raise ValueError(f"expected dimension {objective.spec.dim}, got {stack.shape[1]}")
+    probs = _forward(_unpack(objective.spec, stack), objective.features)[1]
     errors = np.mean(np.argmax(probs, axis=-1) != objective.labels, axis=-1)
     picked = np.log(np.clip(probs[:, np.arange(objective.size), objective.labels], PROB_FLOOR, 1.0))
     # row by row: a mean along the last axis of the (B, n) array rounds differently from the 1-D one

@@ -1,4 +1,4 @@
-"""Independent brute-force references for the aggregation rules and impacts.
+"""Independent brute-force references for the aggregation rules, impacts and model scores.
 
 Everything here is deliberately written in plain Python loops over floats,
 without touching the library implementations, so the tests compare two
@@ -105,3 +105,32 @@ def oracle_largest(impacts, count):
     """Indices of the ``count`` largest impacts, lower index first on ties, in ascending order."""
     ranked = sorted(range(len(impacts)), key=lambda i: (-impacts[i], i))
     return tuple(sorted(ranked[:count]))
+
+
+def oracle_probabilities(layers, params, row):
+    """Softmax class probabilities of one feature row under dense layers with ReLU
+    between them; ``layers`` lists each (fan_in, fan_out), and ``params`` holds
+    each layer's row-major weights followed by its bias, input to output."""
+    values, start = list(row), 0
+    for k, (fan_in, fan_out) in enumerate(layers):
+        weights = params[start : start + fan_in * fan_out]
+        bias = params[start + fan_in * fan_out : start + (fan_in + 1) * fan_out]
+        start += (fan_in + 1) * fan_out
+        logits = [sum(values[i] * weights[i * fan_out + j] for i in range(fan_in)) + bias[j] for j in range(fan_out)]
+        values = logits if k == len(layers) - 1 else [max(v, 0.0) for v in logits]
+    top = max(values)
+    exps = [math.exp(v - top) for v in values]
+    total = sum(exps)
+    return [e / total for e in exps]
+
+
+def oracle_error_and_loss(layers, params, features, labels, floor=1e-12):
+    """(error rate, mean cross-entropy) one instance at a time: argmax ties go to
+    the lowest class, and each probability is clamped to [floor, 1] before the log."""
+    wrong, total = 0, 0.0
+    for row, label in zip(features, labels):
+        probs = oracle_probabilities(layers, params, row)
+        predicted = min(range(len(probs)), key=lambda k: (-probs[k], k))
+        wrong += predicted != label
+        total -= math.log(min(max(probs[label], floor), 1.0))
+    return wrong / len(labels), total / len(labels)

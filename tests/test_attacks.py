@@ -79,10 +79,16 @@ class TestEstimateDirection:
                 assert estimate_direction(scope, AttackSpec(rule), 1).tolist() == [1.0, 1.0]
 
 
+def shift_bound(candidates, w_received, crafted_count):
+    """The bound over the distances attack_krum shares with its search."""
+    received_sq = np.sum((w_received - candidates) ** 2, axis=1)
+    return krum_shift_upper_bound(pairwise_sq_dists(candidates), received_sq, crafted_count, candidates.shape[1])
+
+
 class TestShiftUpperBound:
     def test_zero_when_candidates_sit_on_received(self):
         w = np.array([1.0, -2.0, 0.5])
-        assert krum_shift_upper_bound(np.tile(w, (5, 1)), w, 2) == 0.0
+        assert shift_bound(np.tile(w, (5, 1)), w, 2) == 0.0
 
     def test_matches_direct_formula(self):
         rng = RngStream(11, "bound").generator()
@@ -92,28 +98,24 @@ class TestShiftUpperBound:
             cand = rng.standard_normal((n, d))
             w_re = rng.standard_normal(d)
             crafted = int(rng.integers(1, n - 1))
-            ours = krum_shift_upper_bound(cand, w_re, crafted)
+            ours = shift_bound(cand, w_re, crafted)
             assert ours == pytest.approx(oracle_shift_bound(cand.tolist(), w_re.tolist(), crafted), rel=1e-12)
-
-    def test_shared_distances_give_the_same_bits(self):
-        # attack_krum passes the matrix and |w - c_j|^2 its search already holds
-        rng = RngStream(13, "bound").generator()
-        cand = rng.standard_normal((7, 5))
-        w_re = rng.standard_normal(5)
-        shared = krum_shift_upper_bound(cand, w_re, 2, pairwise_sq_dists(cand), np.sum((w_re - cand) ** 2, axis=1))
-        assert shared == krum_shift_upper_bound(cand, w_re, 2)
 
     def test_homogeneous_in_scale(self):
         rng = RngStream(12, "bound").generator()
         cand = rng.standard_normal((6, 3))
         w_re = rng.standard_normal(3)
-        one = krum_shift_upper_bound(cand, w_re, 2)
-        two = krum_shift_upper_bound(2 * cand, 2 * w_re, 2)
+        one = shift_bound(cand, w_re, 2)
+        two = shift_bound(2 * cand, 2 * w_re, 2)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_rejects_too_many_crafted(self):
-        with pytest.raises(ValueError):
-            krum_shift_upper_bound(np.zeros((4, 2)), np.zeros(2), 3)
+        with pytest.raises(ValueError, match="bound undefined"):
+            krum_shift_upper_bound(np.zeros((4, 4)), np.zeros(4), 3, 2)
+
+    def test_rejects_fewer_than_three_candidates(self):
+        with pytest.raises(ValueError, match="three candidate"):
+            krum_shift_upper_bound(np.zeros((2, 2)), np.zeros(2), 0, 2)
 
 
 def augmentation_scope():
@@ -137,7 +139,7 @@ def reference_search(scope, spec, c):
     else:
         direction = estimate_direction(scope, spec, c)
     for copies in (a for a in plans if len(candidates) - a - 1 > 0):
-        shift = krum_shift_upper_bound(candidates, scope.w_received, copies)
+        shift = shift_bound(candidates, scope.w_received, copies)
         while shift >= SHIFT_FLOOR:
             crafted = scope.w_received - shift * direction
             if oracle_krum([crafted.tolist()] * copies + candidates.tolist(), copies)[0] < copies:
@@ -177,7 +179,7 @@ class TestScalarSearch:
         rng = RngStream(32, "search/floor").generator()
         w_re = np.full(4, 5.0)
         scope = KnowledgeScope("full", 0.01 * rng.standard_normal((10, 4)), w_re)
-        assert krum_shift_upper_bound(scope.models[3:], w_re, 3) > 100 * SHIFT_FLOOR
+        assert shift_bound(scope.models[3:], w_re, 3) > 100 * SHIFT_FLOOR
         assert reference_search(scope, AttackSpec("krum"), 3) is None
         result = attack_krum(scope, AttackSpec("krum"), 3, rng)
         assert not result.success and result.shift is None
@@ -233,7 +235,7 @@ class TestAttackKrum:
             successes += 1
             benign = scope.models[c:]
             # the accepted shift never exceeds the provable bound
-            bound = krum_shift_upper_bound(benign, scope.w_received, c)
+            bound = shift_bound(benign, scope.w_received, c)
             assert result.shift <= bound + 1e-12
             # self-check: Krum over the evaluation set selects the crafted model
             eval_set = np.vstack([np.tile(result.models[0], (c, 1)), benign])

@@ -103,6 +103,26 @@ def test_rejected_config_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, kind, flags, extra",
+    [
+        ("iterations", "int", ["--set", "iterations=abc"], ""),
+        ("learning_rate", "float", ["--set", "learning_rate=fast"], ""),
+        ("iterations", "int", [], "iterations = 2.5\n"),
+    ],
+    ids=["set-int", "set-float", "config-file-int"],
+)
+def test_a_badly_typed_value_names_its_field(tmp_path, capsys, field, kind, flags, extra):
+    config = tmp_path / "typed.cfg"
+    config.write_text(SMALL + extra)
+    out = tmp_path / "bad"
+    assert main(["run", "--seed", "1", "--config", str(config), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert field in err and kind in err
+    assert not out.exists()
+
+
 def test_an_empty_shard_in_a_later_trial_exits_2_before_any_iteration(tmp_path, capsys, monkeypatch):
     # 30 training instances on 10 devices: only trial 2 leaves a device without data
     iterations = []

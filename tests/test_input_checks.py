@@ -16,11 +16,11 @@ from flrlab.aggregation import (
     pairwise_sq_dists,
     trimmed_mean,
 )
-from flrlab.attacks import KnowledgeScope, attack_gaussian, krum_shift_upper_bound
+from flrlab.attacks import AttackSpec, KnowledgeScope, attack_gaussian, attack_krum
 from flrlab.core import RngStream
 from flrlab.data import synth_blobs
 from flrlab.defenses import DefenseSpec, apply_defense, impact_scores
-from flrlab.models import ModelSpec, error_and_loss, gradient, local_update, loss, predict_proba, shard_objective
+from flrlab.models import ModelSpec, error_and_loss, error_rate, gradient, local_update, loss, shard_objective
 
 M, D = 7, 6  # LR over 2 features and 2 classes has 6 parameters
 SPEC = ModelSpec("lr", 2, 2)
@@ -50,10 +50,11 @@ MATRIX_ENTRIES = {
     "bulyan": lambda m: bulyan(m, 1, 3, 1),
     "aggregate": lambda m: aggregate(AggregatorSpec("trimmed_mean", trim_count=1), m),
     "impact_scores": lambda m: impact_scores(m, MEAN, SPEC, VALIDATION),
-    "error_and_loss": lambda m: error_and_loss(SPEC, m, VALIDATION),
+    "error_and_loss": lambda m: error_and_loss(shard_objective(SPEC, VALIDATION), m),
     "apply_defense": lambda m: apply_defense(m, AggregatorSpec("mean", assumed_compromised=1), SPEC,
                                              DefenseSpec("err", VALIDATION)),
-    "krum_shift_upper_bound": lambda m: krum_shift_upper_bound(m, np.zeros(D), 1),
+    "attack_krum": lambda m: attack_krum(KnowledgeScope("full", m, np.zeros(D)), AttackSpec("krum"), 1,
+                                         np.random.default_rng(0)),
     "KnowledgeScope": lambda m: KnowledgeScope("full", m, np.zeros(D)),
     "attack_gaussian": lambda m: attack_gaussian(m, 1, np.random.default_rng(0)),
 }
@@ -75,7 +76,7 @@ VECTOR_ENTRIES = {
     "local_update": lambda w: local_update(shard_objective(SPEC, VALIDATION), w, 0.1, 1, 4, np.random.default_rng(0)),
     "gradient": lambda w: gradient(shard_objective(SPEC, VALIDATION), w),
     "loss": lambda w: loss(shard_objective(SPEC, VALIDATION), w),
-    "predict_proba": lambda w: predict_proba(SPEC, w, VALIDATION.features),
+    "error_rate": lambda w: error_rate(SPEC, w, VALIDATION),
 }
 
 
@@ -90,3 +91,9 @@ def test_parameter_vector_entries_reject_nan(entry):
     params[1] = np.nan
     with pytest.raises(ValueError):
         VECTOR_ENTRIES[entry](params)
+
+
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
+def test_parameter_vector_entries_reject_the_wrong_dimension(entry):
+    with pytest.raises(ValueError, match="dimension"):
+        VECTOR_ENTRIES[entry](np.zeros(D + 1))

@@ -12,9 +12,10 @@ from flrlab.models import (
     init_params,
     local_update,
     loss,
-    predict_proba,
     shard_objective,
 )
+
+from oracles import oracle_error_and_loss, oracle_probabilities
 
 
 def toy_objective(kind="lr", n=12, q=4, L=3, hidden=5, seed=0):
@@ -37,17 +38,22 @@ class TestModelSpec:
             ModelSpec("mlp", 4, 2, hidden=0)
 
 
+def label_probabilities(spec, params, row):
+    """The model's class probabilities for one feature row, read back through the loss of each label."""
+    return np.array([np.exp(-loss(Objective(spec, row[None], np.array([k])), params)) for k in range(spec.num_classes)])
+
+
 class TestPredictProba:
+    """The predicted class probabilities, read through ``loss`` and ``error_rate``."""
+
     def test_zero_params_uniform(self):
         spec = ModelSpec("lr", 3, 4)
-        probs = predict_proba(spec, np.zeros(spec.dim), np.ones((1, 3)))
-        assert np.allclose(probs, 0.25, atol=1e-12)
+        assert np.allclose(label_probabilities(spec, np.zeros(spec.dim), np.ones(3)), 0.25, atol=1e-12)
 
     def test_symmetric_logits(self):
         spec = ModelSpec("lr", 1, 2)
         # weights zero, biases equal -> logits (0, 0) -> (0.5, 0.5)
-        probs = predict_proba(spec, np.zeros(spec.dim), np.array([[1.0]]))
-        assert np.allclose(probs, [[0.5, 0.5]], atol=1e-12)
+        assert np.allclose(label_probabilities(spec, np.zeros(spec.dim), np.array([1.0])), [0.5, 0.5], atol=1e-12)
 
     def test_shift_invariance(self):
         spec = ModelSpec("lr", 2, 3)
@@ -56,26 +62,34 @@ class TestPredictProba:
         shifted = params.copy()
         shifted[-3:] += 5.0  # add constant to every class bias = shift all logits
         x = rng.standard_normal((4, 2))
-        assert np.allclose(predict_proba(spec, params, x), predict_proba(spec, shifted, x), atol=1e-12)
+        for row in x:
+            assert np.allclose(label_probabilities(spec, params, row), label_probabilities(spec, shifted, row), atol=1e-12)
+        data = Dataset(x, np.array([0, 1, 2, 0]), 3)
+        assert error_rate(spec, params, data) == error_rate(spec, shifted, data)
 
     def test_rows_sum_to_one(self):
         spec = ModelSpec("mlp", 3, 5, hidden=7)
         rng = RngStream(2, "p").generator()
-        probs = predict_proba(spec, rng.standard_normal(spec.dim), rng.standard_normal((6, 3)))
-        assert np.all(probs > 0)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        params = rng.standard_normal(spec.dim)
+        for row in rng.standard_normal((6, 3)):
+            probs = label_probabilities(spec, params, row)
+            assert np.all(probs > 0)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_dim_mismatch(self):
         spec = ModelSpec("lr", 3, 2)
-        with pytest.raises(ValueError):
-            predict_proba(spec, np.zeros(5), np.ones((1, 3)))
+        data = Dataset(np.ones((1, 3)), np.zeros(1, dtype=int), 2)
+        with pytest.raises(ValueError, match="dimension"):
+            error_rate(spec, np.zeros(5), data)
+        with pytest.raises(ValueError, match="dimension"):
+            loss(shard_objective(spec, data), np.zeros(5))
 
     @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 2, 3)])
     def test_rejects_features_that_are_not_an_n_by_q_matrix(self, shape):
         # a single feature row is passed as a one-row matrix
         spec = ModelSpec("lr", 3, 2)
-        with pytest.raises(ValueError, match="matrix"):
-            predict_proba(spec, np.zeros(spec.dim), np.ones(shape))
+        with pytest.raises(ValueError, match="model spec"):
+            Objective(spec, np.ones(shape), np.zeros(shape[0], dtype=int))
 
 
 class TestLoss:
@@ -94,11 +108,7 @@ class TestLoss:
     def test_matches_per_instance_summation(self):
         spec, obj, rng = toy_objective()
         params = rng.standard_normal(spec.dim)
-        probs = predict_proba(spec, params, obj.features)
-        manual = 0.0
-        for i in range(obj.size):
-            manual += -np.log(max(probs[i, obj.labels[i]], 1e-12))
-        manual /= obj.size
+        manual = oracle_error_and_loss(spec.layers, params.tolist(), obj.features.tolist(), obj.labels.tolist())[1]
         assert loss(obj, params) == pytest.approx(manual, abs=1e-12)
 
 
@@ -194,9 +204,8 @@ class TestErrorRate:
         spec, obj, rng = toy_objective(n=30)
         params = rng.standard_normal(spec.dim)
         data = Dataset(obj.features, obj.labels, spec.num_classes)
-        probs = predict_proba(spec, params, obj.features)
-        wrong = sum(int(np.argmax(probs[i]) != obj.labels[i]) for i in range(obj.size))
-        assert error_rate(spec, params, data) == pytest.approx(wrong / obj.size)
+        expected = oracle_error_and_loss(spec.layers, params.tolist(), obj.features.tolist(), obj.labels.tolist())[0]
+        assert error_rate(spec, params, data) == expected
 
 
 class TestTrainingSanity:
@@ -233,18 +242,42 @@ class TestErrorAndLoss:
         spec, obj, rng = toy_objective(kind=kind, n=40, q=6, L=4, hidden=5)
         data = Dataset(obj.features, obj.labels, spec.num_classes)
         stack = 2.0 * rng.standard_normal((count, spec.dim))
-        scores = error_and_loss(spec, stack, data)
+        scores = error_and_loss(obj, stack)
         expected = [(error_rate(spec, w, data), loss(obj, w)) for w in stack]
         assert scores.shape == (count, 2)
         assert np.array_equal(scores, np.array(expected))
 
     def test_rejects_a_stack_of_the_wrong_dimension(self):
         spec, obj, _ = toy_objective()
-        data = Dataset(obj.features, obj.labels, spec.num_classes)
         with pytest.raises(ValueError, match="dimension"):
-            error_and_loss(spec, np.zeros((2, spec.dim + 1)), data)
+            error_and_loss(obj, np.zeros((2, spec.dim + 1)))
 
     def test_rejects_an_empty_dataset(self):
         spec = ModelSpec("lr", 4, 3)
         with pytest.raises(ValueError, match="empty"):
-            error_and_loss(spec, np.zeros((2, spec.dim)), Dataset(np.empty((0, 4)), np.empty(0, dtype=int), 3))
+            error_and_loss(Objective(spec, np.empty((0, 4)), np.empty(0, dtype=int)), np.zeros((2, spec.dim)))
+        with pytest.raises(ValueError, match="empty"):
+            error_rate(spec, np.zeros(spec.dim), Dataset(np.empty((0, 4)), np.empty(0, dtype=int), 3))
+
+
+class TestScoringOracle:
+    """error_rate, loss and every row of error_and_loss against the per-instance loop in oracles.py."""
+
+    @pytest.mark.parametrize("kind", ["lr", "mlp"])
+    def test_scores_match_the_oracle(self, kind):
+        spec, obj, rng = toy_objective(kind=kind, n=25, q=5, L=4, hidden=6, seed=3)
+        data = Dataset(obj.features, obj.labels, spec.num_classes)
+        stack = np.vstack([1.5 * rng.standard_normal((3, spec.dim)), np.zeros((2, spec.dim))])
+        stack[3, -4:] = [1.0, 0.0, 1.0, 0.0]  # only the output bias: classes 0 and 2 tie on every instance
+        stack[4, -4:] = [0.0, 60.0, 0.0, 0.0]  # class 1 takes all but e^-60 of the mass: the clamp bites
+        x, y = obj.features.tolist(), obj.labels.tolist()
+        tied = oracle_probabilities(spec.layers, stack[3].tolist(), x[0])
+        assert tied[0] == tied[2] == max(tied)
+        assert min(oracle_probabilities(spec.layers, stack[4].tolist(), x[0])) < 1e-12
+        assert {0, 2} <= set(y) and set(y) - {1}  # the tie decides some rows; some labels are clamped
+
+        scores = error_and_loss(obj, stack)
+        for w, row in zip(stack, scores):
+            error, cross_entropy = oracle_error_and_loss(spec.layers, w.tolist(), x, y)
+            assert error_rate(spec, w, data) == row[0] == error
+            assert loss(obj, w) == row[1] == pytest.approx(cross_entropy, rel=1e-12)
