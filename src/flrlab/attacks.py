@@ -218,7 +218,9 @@ def attack_krum(
     direction = estimate_direction(scope, spec, c) if spec.objective == "directed_deviation" else np.ones(dim)
     sq = pairwise_sq_dists(candidates)
     offsets = scope.w_received - candidates
-    received_sq, along, direction_sq = np.sum(offsets**2, axis=1), offsets @ direction, direction @ direction
+    along, direction_sq = offsets @ direction, direction @ direction
+    offsets **= 2  # in place: no second (n, d) temporary
+    received_sq = np.sum(offsets, axis=1)
 
     for copies in copy_plans:
         shift = krum_shift_upper_bound(sq, received_sq, copies, dim)

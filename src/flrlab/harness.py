@@ -220,7 +220,7 @@ class TrialState:
     validation: Dataset
     stream: RngStream
     weights: np.ndarray
-    objectives: list  # one per device
+    objectives: list  # one per device: its shard as a row index into the one copy of the training set
 
 
 def _craft_models(
@@ -254,13 +254,10 @@ def run_iteration(
         sampled = np.arange(m)
     present = int(np.sum(sampled < config.compromised))
 
-    models = np.stack(
-        [
-            local_update(state.objectives[dev], w_received, config.learning_rate, config.local_rounds,
-                         config.batch_size, it_stream.child(f"device{dev}").generator())
-            for dev in sampled.tolist()
-        ]
-    )
+    models = np.empty((k, state.model_spec.dim))
+    for row, dev in enumerate(sampled.tolist()):
+        models[row] = local_update(state.objectives[dev], w_received, config.learning_rate, config.local_rounds,
+                                   config.batch_size, it_stream.child(f"device{dev}").generator())
 
     shift = None
     if present > 0 and config.attack in ("gaussian", "craft"):
@@ -352,6 +349,14 @@ def _carve_validation(test: Dataset, size: int, rng: np.random.Generator) -> Dat
     return test.subset(picked)
 
 
+def device_objectives(config: ExperimentConfig, model_spec: ModelSpec, train: Dataset, shards) -> list:
+    """Each device's objective: its shard is a row index into ``train``, whose features every device
+    shares; the compromised devices of a label-flip attack share one flipped label array."""
+    flipped = flip_labels(train) if config.attack == "label_flip" else train
+    return [shard_objective(model_spec, flipped if dev < config.compromised else train, shard)
+            for dev, shard in enumerate(shards)]
+
+
 def run_trial(
     config: ExperimentConfig,
     train: Dataset,
@@ -363,11 +368,6 @@ def run_trial(
     """Run one seeded trial of the full federated loop; ``shards`` holds each device's training indices."""
     stream = RngStream(config.seed, f"trial{trial_index}")
     model_spec = config.model_spec(train)
-    flipped = flip_labels(train) if config.attack == "label_flip" else train
-    objectives = [
-        shard_objective(model_spec, flipped if dev < config.compromised else train, shard)
-        for dev, shard in enumerate(shards)
-    ]
     state = TrialState(
         model_spec=model_spec,
         agg_spec=config.aggregator_spec(),
@@ -376,7 +376,7 @@ def run_trial(
         validation=_carve_validation(test, config.validation_size, stream.child("validation").generator()),
         stream=stream,
         weights=init_params(model_spec, stream.child("init").generator()),
-        objectives=objectives,
+        objectives=device_objectives(config, model_spec, train, shards),
     )
 
     records: list[MetricsRecord] = []

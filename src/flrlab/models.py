@@ -12,6 +12,11 @@ product is its own BLAS call, so each model's probabilities are bit-equal
 to those of a forward pass over that model alone.  :func:`error_and_loss`
 is the one scorer: it takes a stack's error rates and cross-entropies from
 one such pass, and :func:`error_rate` and :func:`loss` are its one-row case.
+
+A process holds the training matrix once: an :class:`Objective` keeps the
+shared, read-only features and labels of a dataset, and a device shard is a
+row index into them.  :func:`_instances` gathers a batch's rows from that
+index, giving the same C-ordered array a copied shard would.
 """
 
 from __future__ import annotations
@@ -59,30 +64,52 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Objective:
-    """Mean cross-entropy of a model spec over one data shard."""
+    """Mean cross-entropy of a model spec over one data shard.
+
+    ``features`` and ``labels`` are a whole dataset's, shared and not copied;
+    the shard is the instances ``rows`` of them (every instance when ``rows``
+    is None).  ``rows`` must be a non-empty 1-D integer index in [0, n).
+    """
 
     spec: ModelSpec
     features: np.ndarray
     labels: np.ndarray
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.features.shape[1] != self.spec.num_features:
             raise ValueError("shard features do not match the model spec")
         if len(self.labels) != len(self.features):
             raise ValueError("shard labels and features differ in length")
+        if self.rows is None:
+            return
+        rows = np.asarray(self.rows)
+        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"shard rows must be a 1-D integer index, got {rows.dtype} of shape {rows.shape}")
+        if rows.size == 0:
+            raise ValueError("device shard is empty")
+        if rows.min() < 0 or rows.max() >= len(self.labels):
+            raise ValueError(f"shard rows must lie in [0, {len(self.labels)})")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return len(self.labels) if self.rows is None else len(self.rows)
 
 
 def shard_objective(spec: ModelSpec, dataset: Dataset, indices=None) -> Objective:
-    if indices is None:
-        return Objective(spec, dataset.features, dataset.labels)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("device shard is empty")
-    return Objective(spec, dataset.features[idx], dataset.labels[idx])
+    """The objective over the ``indices`` rows of ``dataset`` (default: all), sharing its arrays."""
+    return Objective(spec, dataset.features, dataset.labels, indices)
+
+
+def _instances(objective: Objective, batch=None) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of the shard's instances at positions ``batch`` (default: all of them)."""
+    rows = objective.rows
+    if batch is not None:
+        rows = batch if rows is None else rows[batch]
+    if rows is None:
+        return objective.features, objective.labels
+    return objective.features[rows], objective.labels[rows]
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -122,13 +149,11 @@ def loss(objective: Objective, params) -> float:
 def gradient(objective: Objective, params, batch_indices=None) -> np.ndarray:
     """Analytic gradient of the mean cross-entropy over a batch (default: whole shard)."""
     p = as_vector(params, dim=objective.spec.dim)
-    if batch_indices is None:
-        x, y = objective.features, objective.labels
-    else:
-        idx = np.asarray(batch_indices, dtype=np.int64)
-        if idx.size == 0:
+    if batch_indices is not None:
+        batch_indices = np.asarray(batch_indices, dtype=np.int64)
+        if batch_indices.size == 0:
             raise ValueError("empty batch")
-        x, y = objective.features[idx], objective.labels[idx]
+    x, y = _instances(objective, batch_indices)
     n = len(y)
     layers = _unpack(objective.spec, p)
     inputs, delta = _forward(layers, x)
@@ -179,9 +204,10 @@ def error_and_loss(objective: Objective, param_stack) -> np.ndarray:
     stack = as_model_matrix(param_stack)
     if stack.shape[1] != objective.spec.dim:
         raise ValueError(f"expected dimension {objective.spec.dim}, got {stack.shape[1]}")
-    probs = _forward(_unpack(objective.spec, stack), objective.features)[1]
-    errors = np.mean(np.argmax(probs, axis=-1) != objective.labels, axis=-1)
-    picked = np.log(np.clip(probs[:, np.arange(objective.size), objective.labels], PROB_FLOOR, 1.0))
+    x, y = _instances(objective)
+    probs = _forward(_unpack(objective.spec, stack), x)[1]
+    errors = np.mean(np.argmax(probs, axis=-1) != y, axis=-1)
+    picked = np.log(np.clip(probs[:, np.arange(len(y)), y], PROB_FLOOR, 1.0))
     # row by row: a mean along the last axis of the (B, n) array rounds differently from the 1-D one
     return np.column_stack((errors, [-np.mean(row) for row in picked]))
 

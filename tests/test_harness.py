@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -236,3 +237,61 @@ class TestConfigMapping:
                      "shift_floor", "poison_fraction", "selection", "csv_classes"):
             with pytest.raises(ConfigError, match="unknown config keys"):
                 config_from_mapping({name: "3"})
+
+
+class TestDeviceShards:
+    """Every device objective indexes the one training matrix of the process."""
+
+    # 2000 instances x 100 features on 100 devices
+    CONFIG = replace(BASE, num_devices=100, compromised=20, synth_classes=10, synth_per_class=200, synth_features=100)
+
+    @pytest.mark.parametrize("attack", ["none", "label_flip"])
+    def test_objectives_share_the_training_features(self, attack):
+        config = replace(self.CONFIG, attack=attack)
+        train, _, shards = harness.set_up(config)
+        objectives = harness.device_objectives(config, config.model_spec(train), train, shards[0])
+        for dev, (objective, shard) in enumerate(zip(objectives, shards[0])):
+            assert np.shares_memory(objective.features, train.features)
+            assert np.array_equal(objective.rows, shard)
+            flipped = attack == "label_flip" and dev < config.compromised
+            expected = train.num_classes - 1 - train.labels if flipped else train.labels
+            assert np.array_equal(objective.labels, expected)
+
+    def test_building_the_objectives_copies_no_training_rows(self):
+        # a copied shard per device would allocate train.features.nbytes in all
+        train, _, shards = harness.set_up(self.CONFIG)
+        spec = self.CONFIG.model_spec(train)
+        tracemalloc.start()
+        try:
+            objectives = harness.device_objectives(self.CONFIG, spec, train, shards[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(objectives) == self.CONFIG.num_devices
+        assert peak < 0.05 * train.features.nbytes
+
+
+class TestModelMatrix:
+    """run_iteration writes each sampled device's local update into one (k, d) matrix."""
+
+    @pytest.mark.parametrize("sampled", [None, 6])
+    @pytest.mark.parametrize("model", ["lr", "mlp"])
+    def test_models_are_the_stacked_local_updates(self, monkeypatch, sampled, model):
+        config = replace(BASE, iterations=2, devices_per_round=sampled, model=model, hidden=4)
+        updates, real_update = [], harness.local_update
+
+        def recording_update(objective, *args):
+            updates.append((objective, real_update(objective, *args)))
+            return updates[-1][1]
+
+        monkeypatch.setattr(harness, "local_update", recording_update)
+        train, test, shards = harness.set_up(config)
+        reports = []
+        harness.run_trial(config, train, test, shards[0], 0, on_iteration=reports.append)
+        k = config.resolved_devices_per_round()
+        assert len(updates) == config.iterations * k  # one call per sampled device
+        for t, report in enumerate(reports):
+            calls = updates[t * k : (t + 1) * k]
+            assert [obj.rows.tolist() for obj, _ in calls] == [shards[0][dev].tolist() for dev in report.sampled]
+            assert report.models.dtype == np.float64 and report.models.flags.c_contiguous
+            assert np.array_equal(report.models, np.stack([update for _, update in calls]))

@@ -1,6 +1,6 @@
-"""Every public entry that takes a model matrix or a parameter vector rejects
-malformed input with ValueError, whichever function in its call chain does
-the check."""
+"""Every public entry that takes a model matrix, a parameter vector or a
+shard's row index rejects malformed input with ValueError, whichever function
+in its call chain does the check."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,16 @@ from flrlab.attacks import AttackSpec, KnowledgeScope, attack_gaussian, attack_k
 from flrlab.core import RngStream
 from flrlab.data import synth_blobs
 from flrlab.defenses import DefenseSpec, apply_defense, impact_scores
-from flrlab.models import ModelSpec, error_and_loss, error_rate, gradient, local_update, loss, shard_objective
+from flrlab.models import (
+    ModelSpec,
+    Objective,
+    error_and_loss,
+    error_rate,
+    gradient,
+    local_update,
+    loss,
+    shard_objective,
+)
 
 M, D = 7, 6  # LR over 2 features and 2 classes has 6 parameters
 SPEC = ModelSpec("lr", 2, 2)
@@ -97,3 +106,28 @@ def test_parameter_vector_entries_reject_nan(entry):
 def test_parameter_vector_entries_reject_the_wrong_dimension(entry):
     with pytest.raises(ValueError, match="dimension"):
         VECTOR_ENTRIES[entry](np.zeros(D + 1))
+
+
+BAD_ROWS = {
+    "2-D": np.array([[0, 1], [2, 3]]),
+    "float": np.array([0.0, 1.0, 2.0]),
+    "negative": np.array([0, -1]),
+    "past the end": np.array([3, len(VALIDATION)]),
+    "empty": np.array([], dtype=np.int64),
+}
+ROW_ENTRIES = {
+    "shard_objective": lambda rows: shard_objective(SPEC, VALIDATION, rows),
+    "Objective": lambda rows: Objective(SPEC, VALIDATION.features, VALIDATION.labels, rows),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+@pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
+def test_shard_rows_are_rejected_when_the_objective_is_built(entry, kind):
+    with pytest.raises(ValueError):
+        ROW_ENTRIES[entry](BAD_ROWS[kind])
+
+
+def test_shard_rows_accept_any_integer_index_in_range():
+    for rows in ([0, len(VALIDATION) - 1], np.arange(3, dtype=np.int32), np.array([5, 2, 5])):
+        assert shard_objective(SPEC, VALIDATION, rows).size == len(rows)

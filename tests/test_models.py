@@ -281,3 +281,25 @@ class TestScoringOracle:
             error, cross_entropy = oracle_error_and_loss(spec.layers, w.tolist(), x, y)
             assert error_rate(spec, w, data) == row[0] == error
             assert loss(obj, w) == row[1] == pytest.approx(cross_entropy, rel=1e-12)
+
+
+class TestRowIndexShards:
+    """A shard held as a row index into the shared training matrix trains and scores
+    bit for bit like an objective over a copy of its rows."""
+
+    @pytest.mark.parametrize("kind", ["lr", "mlp"])
+    def test_gradient_local_update_and_loss_are_bit_equal(self, kind):
+        spec = ModelSpec(kind, 6, 4, hidden=5)
+        train = synth_blobs(4, 30, 6, 0.5, RngStream(11, "shard").generator())
+        rows = np.sort(RngStream(12, "shard").generator().choice(len(train), size=37, replace=False))
+        indexed = shard_objective(spec, train, rows)
+        copied = Objective(spec, train.features[rows], train.labels[rows])
+        assert indexed.features is train.features and indexed.size == 37
+        w = init_params(spec, RngStream(13, "shard").generator()) + 0.1
+        batch = np.array([36, 0, 5, 5, 17, 2])
+        assert np.array_equal(gradient(indexed, w, batch), gradient(copied, w, batch))
+        assert np.array_equal(gradient(indexed, w), gradient(copied, w))
+        assert loss(indexed, w) == loss(copied, w)
+        assert np.array_equal(error_and_loss(indexed, np.stack([w, -w])), error_and_loss(copied, np.stack([w, -w])))
+        updates = [local_update(obj, w, 0.3, 3, 8, RngStream(14, "shard").generator()) for obj in (indexed, copied)]
+        assert np.array_equal(*updates)
