@@ -11,6 +11,7 @@ import numpy as np
 
 IDX_LABEL_MAGIC = 0x00000801
 IDX_IMAGE_MAGIC = 0x00000803
+FINITE_SCAN_BLOCK = 1 << 14  # elements per row block of Dataset's finiteness scan
 
 
 class IdxFormatError(ValueError):
@@ -35,7 +36,11 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A labelled dataset: (n, q) float features and n integer labels in [0, L)."""
+    """A labelled dataset: (n, q) float features and n integer labels in [0, L).
+
+    The features are checked to be finite one block of rows at a time, so the
+    check's bool mask holds about ``FINITE_SCAN_BLOCK`` entries, not n * q.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -52,7 +57,8 @@ class Dataset:
             raise ValueError("need at least two classes")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ValueError("label out of range")
-        if not np.all(np.isfinite(feats)):
+        step = max(1, FINITE_SCAN_BLOCK // max(1, feats.shape[1]))
+        if not all(np.isfinite(feats[i : i + step]).all() for i in range(0, len(feats), step)):
             raise ValueError("features contain NaN or Inf")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
@@ -91,24 +97,24 @@ def load_idx(images_path, labels_path) -> Dataset:
     n = _read_be_u32(img_buf, 4, images_path)
     rows = _read_be_u32(img_buf, 8, images_path)
     cols = _read_be_u32(img_buf, 12, images_path)
-    payload = img_buf[16:]
-    if len(payload) < n * rows * cols:
-        raise TruncatedPayloadError(f"{images_path}: expected {n * rows * cols} pixel bytes, found {len(payload)}")
+    size = n * rows * cols
+    if len(img_buf) - 16 < size:
+        raise TruncatedPayloadError(f"{images_path}: expected {size} pixel bytes, found {len(img_buf) - 16}")
 
     lbl_buf = labels_path.read_bytes()
     magic = _read_be_u32(lbl_buf, 0, labels_path)
     if magic != IDX_LABEL_MAGIC:
         raise BadMagicError(f"{labels_path}: bad label magic 0x{magic:08x}")
     n_labels = _read_be_u32(lbl_buf, 4, labels_path)
-    lbl_payload = lbl_buf[8:]
-    if len(lbl_payload) < n_labels:
-        raise TruncatedPayloadError(f"{labels_path}: expected {n_labels} label bytes, found {len(lbl_payload)}")
+    if len(lbl_buf) - 8 < n_labels:
+        raise TruncatedPayloadError(f"{labels_path}: expected {n_labels} label bytes, found {len(lbl_buf) - 8}")
     if n_labels != n:
         raise CountMismatchError(f"{n} images but {n_labels} labels")
 
-    pixels = np.frombuffer(payload[: n * rows * cols], dtype=np.uint8)
-    features = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
-    labels = np.frombuffer(lbl_payload[:n], dtype=np.uint8).astype(np.int64)
+    # views into the file bytes: the float64 features are the only full-size array made
+    features = np.frombuffer(img_buf, np.uint8, count=size, offset=16).reshape(n, rows * cols).astype(np.float64)
+    features /= 255.0
+    labels = np.frombuffer(lbl_buf, np.uint8, count=n, offset=8).astype(np.int64)
     num_classes = max(2, int(labels.max()) + 1) if n else 2
     return Dataset(features, labels, num_classes)
 
@@ -208,12 +214,11 @@ def synth_blobs(
         raise ValueError("need num_classes >= 2, per_class >= 1, num_features >= 1")
     means = blob_means(num_classes, num_features)
     features = np.empty((num_classes * per_class, num_features))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for l in range(num_classes):
-        block = slice(l * per_class, (l + 1) * per_class)
-        features[block] = means[l] + spread * rng.standard_normal((per_class, num_features))
-        labels[block] = l
-    return Dataset(features, labels, num_classes)
+    for l, block in enumerate(features.reshape(num_classes, per_class, num_features)):
+        rng.standard_normal(out=block)  # in place, no temporary: block = means[l] + spread * N(0, 1)
+        block *= spread
+        block += means[l]
+    return Dataset(features, np.repeat(np.arange(num_classes), per_class), num_classes)
 
 
 def partition_noniid(

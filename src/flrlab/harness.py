@@ -202,7 +202,12 @@ class MetricsRecord:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """Observability hook payload: everything the master saw this iteration."""
+    """Observability hook payload: everything the master saw this iteration.
+
+    The harness drops its reference to a report once the ``on_iteration`` hook
+    has returned, so the report's arrays are freed before the next iteration
+    allocates its own, unless the hook keeps the report.
+    """
 
     iteration: int
     sampled: np.ndarray
@@ -229,15 +234,20 @@ def _craft_models(
     present: int,
     w_received: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray | None, float | None]:
-    """Crafted replacements for the ``present`` compromised rows, or None."""
+) -> float | None:
+    """Write crafted replacements into the ``present`` compromised rows of ``models``;
+    returns the Krum attack's shift (None otherwise).  Rows the attack finds no
+    solution for stay as they were."""
     spec = config.attack_spec()
     scope = KnowledgeScope(config.knowledge, models if config.knowledge == "full" else models[:present], w_received)
     if spec.target_rule in KRUM_TARGETS:
         result = attack_krum(scope, spec, present, rng)
-        return result.models, result.shift
+        if result.models is not None:
+            models[:present] = result.models
+        return result.shift
     direction = estimate_direction(scope, spec, present) if spec.objective == "directed_deviation" else None
-    return attack_trimmed_mean(scope, spec, present, direction, rng), None
+    models[:present] = attack_trimmed_mean(scope, spec, present, direction, rng)
+    return None
 
 
 def run_iteration(
@@ -265,9 +275,7 @@ def run_iteration(
         if config.attack == "gaussian":
             models[:present] = attack_gaussian(models, present, attack_rng)
         else:
-            crafted, shift = _craft_models(config, models, present, w_received, attack_rng)
-            if crafted is not None:
-                models[:present] = crafted
+            shift = _craft_models(config, models, present, w_received, attack_rng)
 
     outcome = None
     agg_input = models
@@ -365,7 +373,11 @@ def run_trial(
     trial_index: int,
     on_iteration: Callable[[IterationReport], None] | None = None,
 ) -> TrialResult:
-    """Run one seeded trial of the full federated loop; ``shards`` holds each device's training indices."""
+    """Run one seeded trial of the full federated loop; ``shards`` holds each device's training indices.
+
+    ``on_iteration`` receives each iteration's report; the harness keeps no
+    reference to a report after that hook returns.
+    """
     stream = RngStream(config.seed, f"trial{trial_index}")
     model_spec = config.model_spec(train)
     state = TrialState(
@@ -385,6 +397,7 @@ def run_trial(
         records.append(record)
         if on_iteration is not None:
             on_iteration(report)
+        del report  # the next iteration's model matrices must not coexist with this one's
 
     return TrialResult(records=tuple(records), final_weights=state.weights)
 

@@ -147,12 +147,15 @@ def loss(objective: Objective, params) -> float:
 
 
 def gradient(objective: Objective, params, batch_indices=None) -> np.ndarray:
-    """Analytic gradient of the mean cross-entropy over a batch (default: whole shard)."""
+    """Analytic gradient of the mean cross-entropy over a batch of integer shard
+    positions (default: the whole shard)."""
     p = as_vector(params, dim=objective.spec.dim)
     if batch_indices is not None:
-        batch_indices = np.asarray(batch_indices, dtype=np.int64)
+        batch_indices = np.asarray(batch_indices)
         if batch_indices.size == 0:
             raise ValueError("empty batch")
+        if not np.issubdtype(batch_indices.dtype, np.integer):
+            raise ValueError(f"batch indices must be integers, got {batch_indices.dtype}")
     x, y = _instances(objective, batch_indices)
     n = len(y)
     layers = _unpack(objective.spec, p)

@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from flrlab.core import RngStream
 from flrlab.data import (
+    FINITE_SCAN_BLOCK,
     BadMagicError,
     CountMismatchError,
     CsvFormatError,
@@ -29,6 +31,45 @@ def write_idx_pair(tmp_path, images, labels, prefix=""):
     img_path.write_bytes(struct.pack(">IIII", 0x803, n, rows, cols) + images.tobytes())
     lbl_path.write_bytes(struct.pack(">II", 0x801, len(labels)) + labels.tobytes())
     return img_path, lbl_path
+
+
+def traced_peak(build):
+    """(build(), the peak bytes traced by tracemalloc while it ran), from a second
+    call, so that modules a first call imports are not counted."""
+    build()
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDataset:
+    @pytest.mark.parametrize("shape", [(50, 7), (2 * FINITE_SCAN_BLOCK + 3, 1), (3, FINITE_SCAN_BLOCK + 1), (4, 0)])
+    def test_accepts_finite_features(self, shape):
+        ds = Dataset(np.ones(shape), np.zeros(shape[0], dtype=int), 2)
+        assert ds.features.shape == shape
+
+    @pytest.mark.parametrize("shape", [(50, 7), (2 * FINITE_SCAN_BLOCK + 3, 1), (3, FINITE_SCAN_BLOCK + 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry_in_any_block(self, shape, bad):
+        n, q = shape
+        # the first entry, the last of the first row block, the first of the second, and the very last
+        block_rows = max(1, FINITE_SCAN_BLOCK // q)
+        for row, col in [(0, 0), (min(block_rows, n) - 1, q - 1), (min(block_rows, n - 1), 0), (n - 1, q - 1)]:
+            features = np.ones(shape)
+            features[row, col] = bad
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                Dataset(features, np.zeros(n, dtype=int), 2)
+
+    def test_building_allocates_no_mask_of_the_features(self):
+        # an (n, q) bool mask is 12.5% of the float64 features
+        features = RngStream(0, "d").generator().standard_normal((2000, 100))
+        labels = np.arange(2000) % 10
+        ds, peak = traced_peak(lambda: Dataset(features, labels, 10))
+        assert ds.features is features
+        assert peak < 0.05 * features.nbytes
 
 
 class TestLoadIdx:
@@ -64,6 +105,30 @@ class TestLoadIdx:
         img.write_bytes(img.read_bytes()[:-3])
         with pytest.raises(TruncatedPayloadError):
             load_idx(img, lbl)
+
+    def test_empty_files(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((0, 2, 3), dtype=np.uint8), [])
+        ds = load_idx(img, lbl)
+        assert ds.features.shape == (0, 6) and ds.num_classes == 2
+
+    def test_trailing_bytes_are_ignored(self, tmp_path):
+        images = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
+        img, lbl = write_idx_pair(tmp_path, images, [1, 0])
+        img.write_bytes(img.read_bytes() + b"\xff\xff")
+        lbl.write_bytes(lbl.read_bytes() + b"\x07")
+        ds = load_idx(img, lbl)
+        assert np.array_equal(ds.features, images.reshape(2, 4) / 255.0)
+        assert ds.labels.tolist() == [1, 0]
+
+    def test_peak_memory_is_the_features_and_the_file(self, tmp_path):
+        # the float64 features plus the file's bytes (1/8 of them) is 1.125x; the pixels scaled
+        # out of place, or the file bytes sliced again, add another full-size temporary
+        rng = RngStream(0, "idx").generator()
+        images = rng.integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        img, lbl = write_idx_pair(tmp_path, images, rng.integers(0, 10, size=2000))
+        ds, peak = traced_peak(lambda: load_idx(img, lbl))
+        assert np.array_equal(ds.features, images.reshape(2000, 784) / 255.0)
+        assert peak <= 1.2 * ds.features.nbytes
 
     def test_count_mismatch(self, tmp_path):
         img, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1], prefix="a_")
@@ -153,6 +218,20 @@ class TestSynthBlobs:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             synth_blobs(1, 10, 2, 0.1, RngStream(0, "s").generator())
+
+    def test_each_class_is_its_mean_plus_spread_times_its_draws(self):
+        per_class, q, spread = 30, 6, 0.7
+        ds = synth_blobs(4, per_class, q, spread, RngStream(3, "e").generator())
+        rng, means = RngStream(3, "e").generator(), blob_means(4, q)
+        expected = np.concatenate([means[l] + spread * rng.standard_normal((per_class, q)) for l in range(4)])
+        assert np.array_equal(ds.features, expected)
+        assert np.array_equal(ds.labels, np.repeat(np.arange(4), per_class))
+
+    def test_peak_memory_is_the_dataset(self):
+        # features plus int64 labels (0.5% at 200 features) and numpy's fixed-size ufunc buffer;
+        # a temporary per class block would add 10% each
+        ds, peak = traced_peak(lambda: synth_blobs(10, 400, 200, 0.3, RngStream(0, "p").generator()))
+        assert peak <= 1.05 * ds.features.nbytes
 
 
 class TestPartitionNoniid:

@@ -1,5 +1,5 @@
 import itertools
-import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,7 +19,7 @@ from flrlab.harness import (
     run_experiment,
 )
 
-from test_data import write_idx_pair
+from test_data import traced_peak, write_idx_pair
 from test_golden import ATTACKS, BASE
 
 OPTIONAL_FIELDS = [f.name for f in fields(ExperimentConfig) if "None" in f.type]
@@ -257,18 +257,53 @@ class TestDeviceShards:
             expected = train.num_classes - 1 - train.labels if flipped else train.labels
             assert np.array_equal(objective.labels, expected)
 
+    def objective_build_peak(self, attack: str) -> float:
+        """The tracemalloc peak of building one trial's objectives, over ``train.features.nbytes``."""
+        config = replace(self.CONFIG, attack=attack)
+        train, _, shards = harness.set_up(config)
+        objectives, peak = traced_peak(lambda: harness.device_objectives(config, config.model_spec(train), train, shards[0]))
+        assert len(objectives) == config.num_devices
+        return peak / train.features.nbytes
+
     def test_building_the_objectives_copies_no_training_rows(self):
         # a copied shard per device would allocate train.features.nbytes in all
-        train, _, shards = harness.set_up(self.CONFIG)
-        spec = self.CONFIG.model_spec(train)
-        tracemalloc.start()
-        try:
-            objectives = harness.device_objectives(self.CONFIG, spec, train, shards[0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(objectives) == self.CONFIG.num_devices
-        assert peak < 0.05 * train.features.nbytes
+        assert self.objective_build_peak("none") < 0.05
+
+    def test_building_label_flip_objectives_copies_nothing_full_size(self):
+        # the flipped labels are 1%; the finiteness check of their Dataset must not add an (n, q) mask (12.5%)
+        assert self.objective_build_peak("label_flip") < 0.05
+
+
+class TestIterationLifetime:
+    """An iteration's model matrices are freed before the next one aggregates, unless a hook keeps them."""
+
+    @pytest.mark.parametrize("rule, attack_site", [("krum", "attack_krum"), ("trimmed_mean", "attack_trimmed_mean")])
+    def test_no_report_or_crafted_array_outlives_its_iteration(self, monkeypatch, rule, attack_site):
+        # the Krum attack finds a solution on every iteration of this config
+        config = replace(BASE, num_devices=20, compromised=4, synth_features=50, rule=rule, attack="craft", defense="err")
+        real_attack, real_aggregate = getattr(harness, attack_site), harness.aggregate
+        refs, dead_at_aggregate = [], []
+
+        def recording_attack(*args):
+            result = real_attack(*args)
+            crafted = result.models if attack_site == "attack_krum" else result
+            refs.append(weakref.ref(crafted))
+            return result
+
+        def checking_aggregate(*args):
+            # the earlier iterations' reports, and this iteration's crafted rows once copied into its models
+            dead_at_aggregate.append([ref() is None for ref in refs])
+            return real_aggregate(*args)
+
+        def weak_hook(report):
+            refs.extend(weakref.ref(array) for array in (report.models, report.defense.survivors))
+
+        monkeypatch.setattr(harness, attack_site, recording_attack)
+        monkeypatch.setattr(harness, "aggregate", checking_aggregate)
+        run_experiment(config, on_iteration=weak_hook)
+        # iteration t sees its own crafted array and three arrays of each earlier iteration
+        assert [len(dead) for dead in dead_at_aggregate] == [1, 4, 7]
+        assert all(all(dead) for dead in dead_at_aggregate)
 
 
 class TestModelMatrix:

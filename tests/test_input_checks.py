@@ -131,3 +131,24 @@ def test_shard_rows_are_rejected_when_the_objective_is_built(entry, kind):
 def test_shard_rows_accept_any_integer_index_in_range():
     for rows in ([0, len(VALIDATION) - 1], np.arange(3, dtype=np.int32), np.array([5, 2, 5])):
         assert shard_objective(SPEC, VALIDATION, rows).size == len(rows)
+
+
+BAD_BATCHES = {
+    "fractional": [0.5, 1.9],  # a cast to int64 would read rows 0 and 1
+    "whole floats": np.array([0.0, 1.0]),
+    "bool": np.array([True, False, True]),
+    "empty": np.array([], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_BATCHES))
+def test_gradient_rejects_a_batch_that_is_not_an_integer_index(kind):
+    with pytest.raises(ValueError):
+        gradient(shard_objective(SPEC, VALIDATION), np.zeros(D), BAD_BATCHES[kind])
+
+
+def test_gradient_accepts_any_integer_batch():
+    objective, w = shard_objective(SPEC, VALIDATION, np.arange(1, 9)), np.full(D, 0.1)
+    expected = gradient(objective, w, np.array([0, 3, 3], dtype=np.int64))
+    for batch in ([0, 3, 3], np.array([0, 3, 3], dtype=np.int32), np.array([0, 3, 3], dtype=np.uint8)):
+        assert np.array_equal(gradient(objective, w, batch), expected)
