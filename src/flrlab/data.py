@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,7 +12,6 @@ import numpy as np
 
 IDX_LABEL_MAGIC = 0x00000801
 IDX_IMAGE_MAGIC = 0x00000803
-FINITE_SCAN_BLOCK = 1 << 14  # elements per row block of Dataset's finiteness scan
 
 
 class IdxFormatError(ValueError):
@@ -38,8 +38,8 @@ class CsvFormatError(ValueError):
 class Dataset:
     """A labelled dataset: (n, q) float features and n integer labels in [0, L).
 
-    The features are checked to be finite one block of rows at a time, so the
-    check's bool mask holds about ``FINITE_SCAN_BLOCK`` entries, not n * q.
+    The features are checked to be finite through their min and max, which are
+    NaN or infinite when any entry is, so the check builds no mask of them.
     """
 
     features: np.ndarray
@@ -57,8 +57,7 @@ class Dataset:
             raise ValueError("need at least two classes")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ValueError("label out of range")
-        step = max(1, FINITE_SCAN_BLOCK // max(1, feats.shape[1]))
-        if not all(np.isfinite(feats[i : i + step]).all() for i in range(0, len(feats), step)):
+        if feats.size and not (np.isfinite(feats.min()) and np.isfinite(feats.max())):
             raise ValueError("features contain NaN or Inf")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
@@ -77,57 +76,57 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
 
-def _read_be_u32(buf: bytes, offset: int, path: Path) -> int:
-    if offset + 4 > len(buf):
+def _read_idx(path: Path, magic: int) -> np.ndarray:
+    """The payload of an IDX file as a uint8 view of its bytes, in the shape its header gives.
+
+    The header is ``magic``, whose low byte counts the dimensions, then each
+    dimension's size as a big-endian u32.  Bytes past the payload are ignored.
+    """
+    buf = path.read_bytes()
+    if len(buf) >= 4 and buf[:4] != magic.to_bytes(4, "big"):
+        raise BadMagicError(f"{path}: bad magic 0x{buf[:4].hex()}, expected 0x{magic:08x}")
+    ndim = magic & 0xFF
+    offset = 4 * (1 + ndim)
+    if len(buf) < offset:
         raise TruncatedPayloadError(f"{path}: truncated header")
-    return struct.unpack_from(">I", buf, offset)[0]
+    shape = struct.unpack_from(f">{ndim}I", buf, 4)
+    size = math.prod(shape)
+    if len(buf) - offset < size:
+        raise TruncatedPayloadError(f"{path}: expected {size} payload bytes, found {len(buf) - offset}")
+    return np.frombuffer(buf, np.uint8, count=size, offset=offset).reshape(shape)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair (MNIST layout) as a Dataset.
 
     Pixels are scaled to [0, 1] and images flattened row-major, so an
-    n x r x c image file yields n rows of r*c features.
+    n x r x c image file yields n rows of r*c features.  Each file's magic
+    and length are checked as it is read; the two counts must agree.
     """
-    images_path, labels_path = Path(images_path), Path(labels_path)
-    img_buf = images_path.read_bytes()
-    magic = _read_be_u32(img_buf, 0, images_path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise BadMagicError(f"{images_path}: bad image magic 0x{magic:08x}")
-    n = _read_be_u32(img_buf, 4, images_path)
-    rows = _read_be_u32(img_buf, 8, images_path)
-    cols = _read_be_u32(img_buf, 12, images_path)
-    size = n * rows * cols
-    if len(img_buf) - 16 < size:
-        raise TruncatedPayloadError(f"{images_path}: expected {size} pixel bytes, found {len(img_buf) - 16}")
-
-    lbl_buf = labels_path.read_bytes()
-    magic = _read_be_u32(lbl_buf, 0, labels_path)
-    if magic != IDX_LABEL_MAGIC:
-        raise BadMagicError(f"{labels_path}: bad label magic 0x{magic:08x}")
-    n_labels = _read_be_u32(lbl_buf, 4, labels_path)
-    if len(lbl_buf) - 8 < n_labels:
-        raise TruncatedPayloadError(f"{labels_path}: expected {n_labels} label bytes, found {len(lbl_buf) - 8}")
-    if n_labels != n:
-        raise CountMismatchError(f"{n} images but {n_labels} labels")
-
+    images = _read_idx(Path(images_path), IDX_IMAGE_MAGIC)
+    labels = _read_idx(Path(labels_path), IDX_LABEL_MAGIC)
+    n = len(images)
+    if len(labels) != n:
+        raise CountMismatchError(f"{n} images but {len(labels)} labels")
     # views into the file bytes: the float64 features are the only full-size array made
-    features = np.frombuffer(img_buf, np.uint8, count=size, offset=16).reshape(n, rows * cols).astype(np.float64)
+    features = images.reshape(n, math.prod(images.shape[1:])).astype(np.float64)
     features /= 255.0
-    labels = np.frombuffer(lbl_buf, np.uint8, count=n, offset=8).astype(np.int64)
+    labels = labels.astype(np.int64)
     num_classes = max(2, int(labels.max()) + 1) if n else 2
     return Dataset(features, labels, num_classes)
 
 
 def _scale_min_max(features: np.ndarray) -> np.ndarray:
-    """Per-column min-max scaling to [0, 1]; constant columns map to zero."""
+    """Per-column min-max scaling to [0, 1], in place; constant columns map to zero.
+
+    A column with a NaN or infinite cell keeps a non-finite entry, which
+    Dataset rejects.
+    """
     lo = features.min(axis=0)
-    hi = features.max(axis=0)
-    span = hi - lo
-    scaled = np.zeros_like(features)
-    nonconst = span > 0
-    scaled[:, nonconst] = (features[:, nonconst] - lo[nonconst]) / span[nonconst]
-    return scaled
+    span = features.max(axis=0) - lo
+    features -= lo
+    np.divide(features, span, out=features, where=span > 0)
+    return features
 
 
 def load_csv(path, label_column: str) -> Dataset:

@@ -30,21 +30,9 @@ from flrlab.core import as_model_matrix
 from flrlab.data import Dataset
 from flrlab.models import ModelSpec, error_and_loss, error_rate, loss, shard_objective
 
-DEFENSE_KINDS = ("none", "err", "lfr", "union")
-
-
-@dataclass(frozen=True)
-class DefenseSpec:
-    """Which filter to run and the master's validation data."""
-
-    kind: str
-    validation: Dataset | None = None
-
-    def __post_init__(self):
-        if self.kind not in DEFENSE_KINDS:
-            raise ValueError(f"unknown defense kind {self.kind!r}")
-        if self.kind != "none" and (self.validation is None or len(self.validation) == 0):
-            raise ValueError(f"{self.kind} defense needs a non-empty validation set")
+# the impact columns each defense ranks the models by: 0 is the error rate's, 1 the loss's
+_IMPACT_COLUMNS = {"err": [0], "lfr": [1], "union": [0, 1]}
+DEFENSE_KINDS = ("none", *_IMPACT_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -142,17 +130,20 @@ def impact_scores(
     return scores[0] - scores[1:]
 
 
-def apply_defense(models, agg_spec: AggregatorSpec, model_spec: ModelSpec, spec: DefenseSpec) -> DefenseOutcome:
+def apply_defense(
+    models, agg_spec: AggregatorSpec, model_spec: ModelSpec, kind: str, validation: Dataset
+) -> DefenseOutcome:
     """Remove the c = ``agg_spec.assumed_compromised`` models with the largest
-    error impact (ERR), loss impact (LFR), or either (Union: the union of the
-    two removals).  Ties remove lower indices first."""
-    if spec.kind == "none":
-        return DefenseOutcome(as_model_matrix(models), ())
-    impacts = impact_scores(models, agg_spec, model_spec, spec.validation)  # checks the matrix
+    impact on the master's ``validation`` set: on its error rate (kind "err"),
+    its loss ("lfr"), or either ("union": the union of the two removals).  Ties
+    remove lower indices first.  An unknown kind and an empty validation set
+    raise ValueError."""
+    if kind not in _IMPACT_COLUMNS:
+        raise ValueError(f"unknown defense kind {kind!r}")
+    arr = np.asarray(models, dtype=np.float64)
+    impacts = impact_scores(arr, agg_spec, model_spec, validation)  # checks the matrix and the validation set
     m, c = len(impacts), agg_spec.assumed_compromised
     if not 1 <= c < m:
         raise ValueError(f"cannot remove {c} of {m} models")
-    columns = {"err": [0], "lfr": [1], "union": [0, 1]}[spec.kind]
-    removed = np.unique(np.argsort(-impacts[:, columns], axis=0, kind="stable")[:c])
-    arr = np.asarray(models, dtype=np.float64)
+    removed = np.unique(np.argsort(-impacts[:, _IMPACT_COLUMNS[kind]], axis=0, kind="stable")[:c])
     return DefenseOutcome(np.delete(arr, removed, axis=0), tuple(int(i) for i in removed))

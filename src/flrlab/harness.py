@@ -33,7 +33,7 @@ from flrlab.attacks import (
 )
 from flrlab.core import RngStream
 from flrlab.data import Dataset, load_csv, load_idx, partition_noniid, synth_blobs
-from flrlab.defenses import DEFENSE_KINDS, DefenseOutcome, DefenseSpec, apply_defense
+from flrlab.defenses import DEFENSE_KINDS, DefenseOutcome, apply_defense
 from flrlab.models import MODEL_KINDS, ModelSpec, error_rate, init_params, local_update, loss, shard_objective
 
 # the allowed values of each ExperimentConfig field that names a choice
@@ -144,11 +144,11 @@ class ExperimentConfig:
             raise ConfigError("synthetic data needs at least one train and test instance per class and one feature")
         if self.dataset == "csv" and not 0 < self.csv_test_fraction < 1:
             raise ConfigError("csv test fraction must lie in (0, 1)")
+        try:
+            attack = self.attack_spec()
+        except ValueError as exc:
+            raise ConfigError(f"bad attack parameters: {exc}") from exc
         if self.attack == "craft":
-            try:
-                attack = self.attack_spec()
-            except ValueError as exc:
-                raise ConfigError(f"bad attack parameters: {exc}") from exc
             coordinate_wise = attack.target_rule not in KRUM_TARGETS
             if self.knowledge == "partial" and attack.objective == "deviation" and coordinate_wise:
                 raise ConfigError("the deviation objective is defined for full knowledge only")
@@ -281,8 +281,7 @@ def run_iteration(
     agg_input = models
     removed: tuple[int, ...] = ()
     if config.defense != "none":
-        defense_spec = DefenseSpec(config.defense, state.validation)
-        outcome = apply_defense(models, state.agg_spec, state.model_spec, defense_spec)
+        outcome = apply_defense(models, state.agg_spec, state.model_spec, config.defense, state.validation)
         agg_input = outcome.survivors
         removed = tuple(sorted(int(sampled[i]) for i in outcome.removed))
 
@@ -302,10 +301,9 @@ def run_iteration(
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One trial's per-iteration records and its final (last-iterate) model."""
+    """One trial's per-iteration records."""
 
     records: tuple[MetricsRecord, ...]
-    final_weights: np.ndarray
 
     @property
     def final_test_error(self) -> float:
@@ -399,7 +397,7 @@ def run_trial(
             on_iteration(report)
         del report  # the next iteration's model matrices must not coexist with this one's
 
-    return TrialResult(records=tuple(records), final_weights=state.weights)
+    return TrialResult(records=tuple(records))
 
 
 def set_up(config: ExperimentConfig) -> tuple[Dataset, Dataset, list[list[np.ndarray]]]:

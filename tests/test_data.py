@@ -6,7 +6,6 @@ import pytest
 
 from flrlab.core import RngStream
 from flrlab.data import (
-    FINITE_SCAN_BLOCK,
     BadMagicError,
     CountMismatchError,
     CsvFormatError,
@@ -46,18 +45,17 @@ def traced_peak(build):
 
 
 class TestDataset:
-    @pytest.mark.parametrize("shape", [(50, 7), (2 * FINITE_SCAN_BLOCK + 3, 1), (3, FINITE_SCAN_BLOCK + 1), (4, 0)])
+    @pytest.mark.parametrize("shape", [(50, 7), (32771, 1), (3, 16385), (4, 0)])
     def test_accepts_finite_features(self, shape):
         ds = Dataset(np.ones(shape), np.zeros(shape[0], dtype=int), 2)
         assert ds.features.shape == shape
 
-    @pytest.mark.parametrize("shape", [(50, 7), (2 * FINITE_SCAN_BLOCK + 3, 1), (3, FINITE_SCAN_BLOCK + 1)])
+    @pytest.mark.parametrize("shape", [(50, 7), (32771, 1), (3, 16385)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_entry_in_any_block(self, shape, bad):
         n, q = shape
-        # the first entry, the last of the first row block, the first of the second, and the very last
-        block_rows = max(1, FINITE_SCAN_BLOCK // q)
-        for row, col in [(0, 0), (min(block_rows, n) - 1, q - 1), (min(block_rows, n - 1), 0), (n - 1, q - 1)]:
+        # the first entry, the last of the first row, one in the middle, and the very last
+        for row, col in [(0, 0), (0, q - 1), (n // 2, q // 2), (n - 1, q - 1)]:
             features = np.ones(shape)
             features[row, col] = bad
             with pytest.raises(ValueError, match="NaN or Inf"):
@@ -106,6 +104,13 @@ class TestLoadIdx:
         with pytest.raises(TruncatedPayloadError):
             load_idx(img, lbl)
 
+    def test_truncated_label_payload(self, tmp_path):
+        # the header claims 3 labels, the file holds 2
+        img, lbl = write_idx_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8), [0, 1, 1])
+        lbl.write_bytes(lbl.read_bytes()[:-1])
+        with pytest.raises(TruncatedPayloadError):
+            load_idx(img, lbl)
+
     def test_empty_files(self, tmp_path):
         img, lbl = write_idx_pair(tmp_path, np.zeros((0, 2, 3), dtype=np.uint8), [])
         ds = load_idx(img, lbl)
@@ -151,6 +156,13 @@ class TestLoadCsv:
         ds = load_csv(path, "label")
         assert ds.features[:, 0].tolist() == [0.0, 0.5, 1.0]
         assert ds.features[:, 1].tolist() == [0.0, 0.0, 0.0]  # constant -> zeros
+
+    def test_nan_cell_is_rejected(self, tmp_path):
+        # a NaN makes its column's min, max and span NaN; the column must not be zeroed
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,label\nnan,1,0\n2,3,1\n4,5,0\n")
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            load_csv(path, "label")
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "d.csv"

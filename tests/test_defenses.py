@@ -7,7 +7,6 @@ from flrlab.aggregation import AggregatorSpec, aggregate, bulyan, krum
 from flrlab.core import RngStream
 from flrlab.data import Dataset, synth_blobs
 from flrlab.defenses import (
-    DefenseSpec,
     _loo_aggregates,
     apply_defense,
     impact_scores,
@@ -270,20 +269,20 @@ class TestDefendErr:
         # an inverted, amplified model flips the mean's predictions; note a
         # constant-shift model would be harmless (softmax shift invariance)
         models[3] = -6.0 * models[0]
-        outcome = apply_defense(models, mean_spec(1), model_spec, DefenseSpec("err", validation))
+        outcome = apply_defense(models, mean_spec(1), model_spec, "err", validation)
         assert outcome.removed == (3,)
         assert outcome.survivors.shape == (5, model_spec.dim)
 
     def test_survivor_count(self, validation, model_spec):
         models = trained_models(validation, model_spec, count=8)
         for c in (1, 2, 3):
-            outcome = apply_defense(models, mean_spec(c), model_spec, DefenseSpec("err", validation))
+            outcome = apply_defense(models, mean_spec(c), model_spec, "err", validation)
             assert len(outcome.removed) == c
             assert outcome.survivors.shape[0] == 8 - c
 
     def test_ties_remove_lowest_indices(self, validation, model_spec):
         models = np.tile(np.linspace(0, 1, model_spec.dim), (6, 1))
-        outcome = apply_defense(models, mean_spec(2), model_spec, DefenseSpec("err", validation))
+        outcome = apply_defense(models, mean_spec(2), model_spec, "err", validation)
         assert outcome.removed == (0, 1)
 
 
@@ -291,12 +290,12 @@ class TestDefendLfr:
     def test_huge_parameters_removed(self, validation, model_spec):
         models = trained_models(validation, model_spec)
         models[4] = 1e4
-        outcome = apply_defense(models, mean_spec(1), model_spec, DefenseSpec("lfr", validation))
+        outcome = apply_defense(models, mean_spec(1), model_spec, "lfr", validation)
         assert outcome.removed == (4,)
 
     def test_identical_models_remove_by_index(self, validation, model_spec):
         models = np.tile(np.linspace(0, 1, model_spec.dim), (6, 1))
-        outcome = apply_defense(models, mean_spec(3), model_spec, DefenseSpec("lfr", validation))
+        outcome = apply_defense(models, mean_spec(3), model_spec, "lfr", validation)
         assert outcome.removed == (0, 1, 2)
 
 
@@ -306,44 +305,40 @@ class TestDefendUnion:
         models = trained_models(validation, model_spec, count=9)
         models += 0.05 * rng.standard_normal(models.shape)
         agg = mean_spec(2)
-        err_set = set(apply_defense(models, agg, model_spec, DefenseSpec("err", validation)).removed)
-        lfr_set = set(apply_defense(models, agg, model_spec, DefenseSpec("lfr", validation)).removed)
-        outcome = apply_defense(models, agg, model_spec, DefenseSpec("union", validation))
+        err_set = set(apply_defense(models, agg, model_spec, "err", validation).removed)
+        lfr_set = set(apply_defense(models, agg, model_spec, "lfr", validation).removed)
+        outcome = apply_defense(models, agg, model_spec, "union", validation)
         assert set(outcome.removed) == err_set | lfr_set
         assert 2 <= len(outcome.removed) <= 4
 
     def test_union_survivors_subset_of_each(self, validation, model_spec):
         models = trained_models(validation, model_spec, count=7, seed=11)
         agg = AggregatorSpec("median", assumed_compromised=2)
-        union = apply_defense(models, agg, model_spec, DefenseSpec("union", validation))
-        err = apply_defense(models, agg, model_spec, DefenseSpec("err", validation))
-        lfr = apply_defense(models, agg, model_spec, DefenseSpec("lfr", validation))
+        union = apply_defense(models, agg, model_spec, "union", validation)
+        err = apply_defense(models, agg, model_spec, "err", validation)
+        lfr = apply_defense(models, agg, model_spec, "lfr", validation)
         assert set(union.removed) >= set(err.removed)
         assert set(union.removed) >= set(lfr.removed)
 
 
 class TestApplyDefense:
-    def test_none_is_identity(self, validation, model_spec):
+    def test_unknown_kind_and_empty_validation_set(self, validation, model_spec):
         models = trained_models(validation, model_spec)
-        outcome = apply_defense(models, AggregatorSpec("mean"), model_spec, DefenseSpec("none"))
-        assert outcome.removed == ()
-        assert np.array_equal(outcome.survivors, models)
-
-    def test_spec_validation(self, validation):
-        with pytest.raises(ValueError):
-            DefenseSpec("lfr", None)
-        with pytest.raises(ValueError):
-            DefenseSpec("gatekeeper", validation)
+        with pytest.raises(ValueError, match="unknown defense kind"):
+            apply_defense(models, mean_spec(1), model_spec, "gatekeeper", validation)
+        for kind in ("err", "lfr", "union"):
+            with pytest.raises(ValueError, match="empty shard"):
+                apply_defense(models, mean_spec(1), model_spec, kind, validation.subset([]))
 
     def test_cannot_remove_everything(self, validation, model_spec):
         models = trained_models(validation, model_spec, count=3)
         with pytest.raises(ValueError):
-            apply_defense(models, mean_spec(3), model_spec, DefenseSpec("err", validation))
+            apply_defense(models, mean_spec(3), model_spec, "err", validation)
 
     def test_must_remove_one(self, validation, model_spec):
         models = trained_models(validation, model_spec, count=3)
         with pytest.raises(ValueError):
-            apply_defense(models, mean_spec(0), model_spec, DefenseSpec("err", validation))
+            apply_defense(models, mean_spec(0), model_spec, "err", validation)
 
     def test_trimmed_mean_loo_configuration_error(self, validation, model_spec):
         # beta = 2 is fine for 5 models but invalid for the 4-model subsets
@@ -417,5 +412,5 @@ class TestWindowLeaveOneOut:
             by_loss = oracle_largest([loss(obj, full) - loss(obj, w) for w in reruns], count)
             expected = {"err": by_error, "lfr": by_loss, "union": tuple(sorted(set(by_error) | set(by_loss)))}
             for kind, removed in expected.items():
-                outcome = apply_defense(models, spec, model_spec, DefenseSpec(kind, validation))
+                outcome = apply_defense(models, spec, model_spec, kind, validation)
                 assert outcome.removed == removed, (kind, spec, m, count)

@@ -19,7 +19,7 @@ from flrlab.aggregation import (
 from flrlab.attacks import AttackSpec, KnowledgeScope, attack_gaussian, attack_krum
 from flrlab.core import RngStream
 from flrlab.data import synth_blobs
-from flrlab.defenses import DefenseSpec, apply_defense, impact_scores
+from flrlab.defenses import apply_defense, impact_scores
 from flrlab.models import (
     ModelSpec,
     Objective,
@@ -60,8 +60,7 @@ MATRIX_ENTRIES = {
     "aggregate": lambda m: aggregate(AggregatorSpec("trimmed_mean", trim_count=1), m),
     "impact_scores": lambda m: impact_scores(m, MEAN, SPEC, VALIDATION),
     "error_and_loss": lambda m: error_and_loss(shard_objective(SPEC, VALIDATION), m),
-    "apply_defense": lambda m: apply_defense(m, AggregatorSpec("mean", assumed_compromised=1), SPEC,
-                                             DefenseSpec("err", VALIDATION)),
+    "apply_defense": lambda m: apply_defense(m, AggregatorSpec("mean", assumed_compromised=1), SPEC, "err", VALIDATION),
     "attack_krum": lambda m: attack_krum(KnowledgeScope("full", m, np.zeros(D)), AttackSpec("krum"), 1,
                                          np.random.default_rng(0)),
     "KnowledgeScope": lambda m: KnowledgeScope("full", m, np.zeros(D)),
