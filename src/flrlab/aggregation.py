@@ -4,8 +4,19 @@ All rules are pure functions over an (m, d) matrix of local models, one row
 per device, returning a single d-vector.  Selection ties always break to the
 lowest device index so attack searches stay reproducible.  Each input matrix
 is scanned (shape and finiteness) once per public call: by the first function
-that needs it, here :func:`pairwise_sq_dists` for the Krum family, and by no
-flrlab function that function calls.
+that needs it, and by no flrlab function that function calls.  Two checks
+read values computed anyway in place of that scan, as a row holding NaN or
+Inf makes them non-finite: the rows' squared norms (:func:`row_sq_norms`),
+which a caller that has them passes to :func:`pairwise_sq_dists`, and the
+result of :func:`mean`.
+
+Every Krum matrix of a federated iteration is the one the harness builds:
+with :func:`blockwise_sq_dists` under a full-knowledge attack on Krum (the
+benign block once, the compromised rows before and after crafting), else in
+one build after the attack.  The direction's Krum, the defense and the final
+Krum or Bulyan (the survivors' block) read it.  Only the benign block, the
+attack's candidates' matrix, reaches the metrics (through the crafted
+shift), and it equals a build of those rows alone bit for bit.
 """
 
 from __future__ import annotations
@@ -66,18 +77,59 @@ def bulyan_counts(num_models: int, assumed_compromised: int) -> tuple[int, int]:
     return theta, theta - 2 * assumed_compromised
 
 
-def pairwise_sq_dists(models: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of squared Euclidean distances between model rows."""
-    arr = as_model_matrix(models)
+def row_sq_norms(models: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row: NaN or Inf for a row that holds NaN or Inf or is too large to square."""
+    return np.einsum("ij,ij->i", models, models)
+
+
+def pairwise_sq_dists(models, head: int | None = None, norms: np.ndarray | None = None) -> np.ndarray:
+    """Symmetric matrix of squared Euclidean distances between model rows, or
+    with ``head`` only its first ``head`` rows, as a (head, m) array.
+
+    Up to m*m*d = 2**24 each row is summed elementwise and depends only on
+    its own model and ``models``, so the ``head`` rows equal those of the
+    whole matrix bit for bit.  Above it the matrix comes from the Gram product
+    and the rows' squared norms, and the ``head`` rows from their own product
+    with every row, which rounds differently.  ``norms`` are the rows' squared
+    norms (:func:`row_sq_norms`) from a caller that has them; they replace the
+    finiteness scan.
+    """
+    arr = as_model_matrix(models, finite=norms is None)
+    if norms is not None and not np.all(np.isfinite(norms)):
+        raise ValueError("model set contains NaN or Inf, or a model too large to square")
     m, d = arr.shape
+    rows = m if head is None else head
     if m * m * d <= _DIRECT_PAIRWISE_LIMIT:
-        out = np.empty((m, m))
-        for i in range(m):
+        out = np.empty((rows, m))
+        for i in range(rows):
             out[i] = np.sum((arr - arr[i]) ** 2, axis=1)
     else:
-        sq = np.einsum("ij,ij->i", arr, arr)
-        out = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (arr @ arr.T), 0.0)
+        sq = row_sq_norms(arr) if norms is None else norms
+        gram = arr @ arr.T if head is None else arr[:rows] @ arr.T
+        out = np.maximum(sq[:rows, None] + sq[None, :] - 2.0 * gram, 0.0)
     np.fill_diagonal(out, 0.0)
+    return out
+
+
+def blockwise_sq_dists(models: np.ndarray, split: int, norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (m, m) distance matrix of ``models``, built in two row groups: [:split] and [split:].
+
+    The block ``[split:, split:]`` is ``pairwise_sq_dists(models[split:])``
+    bit for bit.  Rows and columns ``[:split]`` are the first ``split`` rows of
+    the matrix of all m models (one product on the Gram path), so on the
+    direct path the whole equals ``pairwise_sq_dists(models)`` bit for bit,
+    and on the Gram path it differs from it by rounding.  Given ``out``, the
+    matrix built before rows ``[:split]`` of ``models`` changed, only those
+    rows and columns are rebuilt, in place.  ``norms`` are the rows' squared
+    norms (:func:`row_sq_norms`); ``split=0`` is one whole build.
+    """
+    if out is None:
+        out = np.empty((len(models), len(models)))
+        out[split:, split:] = pairwise_sq_dists(models[split:], norms=norms[split:])
+    if split:
+        head = pairwise_sq_dists(models, split, norms)
+        out[:split] = head
+        out[:, :split] = head.T
     return out
 
 
@@ -96,8 +148,8 @@ def krum_select(sq_dists: np.ndarray, rows, assumed_compromised: int) -> int:
     """The row among ``rows`` with the smallest Krum score computed within
     ``rows``; ties go to the earliest position in ``rows``.
 
-    It is one round of :func:`bulyan_within`, its only caller in the
-    package.  It stays a function of its own because each round scores a
+    It is one round of :func:`bulyan_within`, and :func:`aggregate`'s Krum
+    over a row subset such as a defense's survivors.  Each round scores a
     different row set, so the rounds share no sort, and its tie order is
     tested on its own.
     """
@@ -106,38 +158,59 @@ def krum_select(sq_dists: np.ndarray, rows, assumed_compromised: int) -> int:
     return int(rows[int(np.argmin(scores))])
 
 
-def mean(models) -> np.ndarray:
-    return as_model_matrix(models).mean(axis=0)
+def _gathered(models, rows) -> np.ndarray:
+    """The rows ``rows`` of ``models`` (every row when None), checked, in a new array its caller may sort in place."""
+    arr = as_model_matrix(models)
+    return arr.copy() if rows is None else arr[rows]
 
 
-def krum_scores(models, assumed_compromised: int) -> np.ndarray:
-    """Sum of squared distances from each model to its m-c-2 nearest peers."""
-    sq = pairwise_sq_dists(models)
+def mean(models, rows=None) -> np.ndarray:
+    """Coordinate-wise mean of the rows ``rows`` of ``models`` (every row when None).
+
+    A NaN or Inf in the rows makes their mean non-finite, so the mean is
+    checked in place of a scan of the rows.
+    """
+    arr = as_model_matrix(models, finite=False)
+    out = (arr if rows is None else arr[rows]).mean(axis=0)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("model set contains NaN or Inf, or its mean overflows")
+    return out
+
+
+def krum_scores(models, assumed_compromised: int, sq_dists: np.ndarray | None = None) -> np.ndarray:
+    """Sum of squared distances from each model to its m-c-2 nearest peers.
+
+    ``sq_dists`` is the models' distance matrix, when the caller has built it.
+    """
+    sq = pairwise_sq_dists(models) if sq_dists is None else sq_dists
     AggregatorSpec("krum", assumed_compromised=assumed_compromised).validate(len(sq))
     return neighbor_score_sums(sq, len(sq) - assumed_compromised - 2)
 
 
-def krum(models, assumed_compromised: int) -> tuple[int, np.ndarray]:
+def krum(models, assumed_compromised: int, sq_dists: np.ndarray | None = None) -> tuple[int, np.ndarray]:
     """Select the local model with the smallest Krum score (lowest index on ties)."""
-    chosen = int(np.argmin(krum_scores(models, assumed_compromised)))
+    chosen = int(np.argmin(krum_scores(models, assumed_compromised, sq_dists)))
     return chosen, np.array(models[chosen], dtype=np.float64)
 
 
 def _window_mean(arr: np.ndarray, trim_count: int) -> np.ndarray:
-    """Per column: sort, drop ``trim_count`` values at each end, average the rest."""
-    return np.sort(arr, axis=0)[trim_count : arr.shape[0] - trim_count].mean(axis=0)
+    """Per column: sort ``arr`` in place, drop ``trim_count`` values at each end, average the rest."""
+    arr.sort(axis=0)
+    return arr[trim_count : arr.shape[0] - trim_count].mean(axis=0)
 
 
-def trimmed_mean(models, trim_count: int) -> np.ndarray:
-    """Per coordinate: drop the trim_count largest and smallest values, average the rest."""
-    arr = as_model_matrix(models)
+def trimmed_mean(models, trim_count: int, rows=None) -> np.ndarray:
+    """Per coordinate of the rows ``rows`` (every row when None): drop the trim_count largest and smallest
+    values, average the rest.  The rows are gathered once and sorted in place."""
+    arr = _gathered(models, rows)
     AggregatorSpec("trimmed_mean", trim_count=trim_count).validate(arr.shape[0])
     return _window_mean(arr, trim_count)
 
 
-def median(models) -> np.ndarray:
-    """Coordinate-wise median: the trimmed mean that keeps the middle value (odd m) or two (even m)."""
-    arr = as_model_matrix(models)
+def median(models, rows=None) -> np.ndarray:
+    """Coordinate-wise median of the rows ``rows`` (every row when None): the trimmed mean that keeps
+    the middle value (odd m) or two (even m)."""
+    arr = _gathered(models, rows)
     return _window_mean(arr, (arr.shape[0] - 1) // 2)
 
 
@@ -175,21 +248,32 @@ def bulyan_within(
         remaining.remove(selected[-1])
 
     chosen = models[selected]
-    med = _window_mean(chosen, (theta - 1) // 2)
+    med = _window_mean(chosen.copy(), (theta - 1) // 2)
     dist_to_med = np.abs(chosen - med)
     order = np.argsort(dist_to_med, axis=0, kind="stable")[:gamma]
     closest = np.take_along_axis(chosen, order, axis=0)
     return closest.mean(axis=0)
 
 
-def aggregate(spec: AggregatorSpec, models) -> np.ndarray:
-    """Run the configured rule; each rule validates the models and its parameters."""
+def aggregate(spec: AggregatorSpec, models, rows=None, sq_dists: np.ndarray | None = None) -> np.ndarray:
+    """Run the configured rule on the rows ``rows`` of ``models`` (every row when None); each rule
+    validates the models and its parameters.
+
+    Krum and Bulyan select within those rows of ``sq_dists``, the distance
+    matrix of all of ``models``, when the caller has built it (and so checked
+    the models), and build it here otherwise.  The other rules gather the rows
+    once, and the coordinate-wise ones sort that array in place.
+    """
     if spec.rule == "mean":
-        return mean(models)
-    if spec.rule == "krum":
-        return krum(models, spec.assumed_compromised)[1]
+        return mean(models, rows)
     if spec.rule == "trimmed_mean":
-        return trimmed_mean(models, spec.trim_count)
+        return trimmed_mean(models, spec.trim_count, rows)
     if spec.rule == "median":
-        return median(models)
-    return bulyan(models, spec.assumed_compromised, *bulyan_counts(len(models), spec.assumed_compromised))
+        return median(models, rows)
+    arr, c = np.asarray(models, dtype=np.float64), spec.assumed_compromised
+    sq = pairwise_sq_dists(arr) if sq_dists is None else sq_dists
+    keep = range(len(arr)) if rows is None else rows
+    spec.validate(len(keep))
+    if spec.rule == "krum":
+        return arr[krum_select(sq, keep, c)].copy()
+    return bulyan_within(arr, sq, keep, c, *bulyan_counts(len(keep), c))

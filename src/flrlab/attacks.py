@@ -5,12 +5,21 @@ direction s it would move without an attack, which :func:`estimate_direction`
 derives from the aggregate :func:`expected_aggregate` expects.  Against Krum
 the crafted model sits at ``w_received - shift * s`` with the largest shift
 that Krum still selects (binary search under a provable upper bound).  The
-search builds one distance matrix of the candidate models per attack; each
+search reads one distance matrix of the candidate models per attack; each
 step only fills the crafted rows from scalars, so no step touches a model
 vector.  Against trimmed mean and median the compromised coordinates are
 sampled just beyond the benign extremes (full knowledge) or 3-4 standard
 deviations from the compromised mean (partial knowledge).  Gaussian and label
 flipping are baselines.
+
+Where the Krum attack's matrices come from: in a full-knowledge federated
+iteration the harness passes the distance matrix of all the models in scope
+(:func:`flrlab.aggregation.blockwise_sq_dists`).  The direction's Krum reads
+all of it, and the candidates' matrix is its benign block, equal bit for bit
+to a build of those rows alone.  That block is the only Krum matrix whose
+bits reach the metrics, through the shift bound and so the crafted shift.
+Called without a matrix, as in partial knowledge, the attack builds the
+candidates' matrix itself.
 """
 
 from __future__ import annotations
@@ -90,23 +99,27 @@ class KrumAttackResult:
         return self.models is not None
 
 
-def expected_aggregate(models, target_rule: str, c: int) -> np.ndarray:
+def expected_aggregate(models, target_rule: str, c: int, sq_dists: np.ndarray | None = None) -> np.ndarray:
     """What the attacker expects ``target_rule`` to make of ``models``: Krum's pick for Krum and
-    Bulyan, else the rule itself trimming c per side (as many as the attacker controls)."""
+    Bulyan (from ``sq_dists``, the models' distance matrix, when given), else the rule itself
+    trimming c per side (as many as the attacker controls)."""
     if target_rule in KRUM_TARGETS:
-        return krum(models, c)[1]
+        return krum(models, c, sq_dists)[1]
     return aggregate(AggregatorSpec(target_rule, trim_count=c), models)
 
 
-def estimate_direction(scope: KnowledgeScope, spec: AttackSpec, compromised_count: int) -> np.ndarray:
+def estimate_direction(
+    scope: KnowledgeScope, spec: AttackSpec, compromised_count: int, sq_dists: np.ndarray | None = None
+) -> np.ndarray:
     """Per-coordinate update direction s the attack works against, +1 on ties.
 
     Full knowledge takes the sign of :func:`expected_aggregate` over the models
-    in scope minus the received global model; partial knowledge uses the
-    compromised devices' mean before-attack model in place of that aggregate.
+    in scope (with ``sq_dists``, their distance matrix, when given) minus the
+    received global model; partial knowledge uses the compromised devices'
+    mean before-attack model in place of that aggregate.
     """
     if scope.mode == "full":
-        before = expected_aggregate(scope.models, spec.target_rule, compromised_count)
+        before = expected_aggregate(scope.models, spec.target_rule, compromised_count, sq_dists)
     else:
         before = scope.models.mean(axis=0)
     return signed_direction(before, scope.w_received)
@@ -135,12 +148,17 @@ def krum_shift_upper_bound(sq_dists, received_sq, crafted_count: int, dim: int) 
     return float(term1 + term2)
 
 
-def sample_in_ball(center: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample from the Euclidean ball around ``center``."""
-    dim = center.shape[0]
-    direction = rng.standard_normal(dim)
-    r = radius * rng.random() ** (1.0 / dim)
-    return center + (r / np.linalg.norm(direction)) * direction
+def sample_in_ball(center: np.ndarray, radius: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Uniform sample from the Euclidean ball around ``center``, drawn into ``out`` and returned.
+
+    A normal draw fills ``out``, then one uniform draw sets the radius; the
+    direction is scaled and shifted in place.
+    """
+    rng.standard_normal(out=out)
+    r = radius * rng.random() ** (1.0 / out.shape[0])
+    out *= r / np.linalg.norm(out)
+    out += center
+    return out
 
 
 def _binary_search_shift(
@@ -189,6 +207,7 @@ def attack_krum(
     spec: AttackSpec,
     compromised_count: int,
     rng: np.random.Generator,
+    sq_dists: np.ndarray | None = None,
 ) -> KrumAttackResult:
     """Craft ``compromised_count`` local models so Krum selects the shifted one.
 
@@ -200,6 +219,11 @@ def attack_krum(
     (candidates - copies - 1 <= 0) is skipped; with none left there is no
     solution.  The emitted set is the crafted model plus c-1 samples inside
     the support-radius ball around it.
+
+    ``sq_dists`` is the distance matrix of ``scope.models``, when the caller
+    has built it; the candidates' matrix is then its block of the candidate
+    rows, which must equal a build of those rows alone for the shift to be
+    the same.  Without it the attack builds the matrices it reads.
     """
     if spec.target_rule not in KRUM_TARGETS:
         raise ValueError("attack_krum targets the krum or bulyan rule")
@@ -208,15 +232,15 @@ def attack_krum(
     dim = scope.w_received.shape[0]
 
     if scope.mode == "full":
-        candidates, copy_plans = scope.models[c:], [c]
+        candidates, copy_plans, given = scope.models[c:], [c], None if sq_dists is None else sq_dists[c:, c:]
     else:
-        candidates, copy_plans = scope.models, range(1, c + 1)
+        candidates, copy_plans, given = scope.models, range(1, c + 1), sq_dists
     copy_plans = [a for a in copy_plans if len(candidates) - a - 1 > 0]
     if not copy_plans:
         return KrumAttackResult(None, None, 0)
 
-    direction = estimate_direction(scope, spec, c) if spec.objective == "directed_deviation" else np.ones(dim)
-    sq = pairwise_sq_dists(candidates)
+    direction = estimate_direction(scope, spec, c, sq_dists) if spec.objective == "directed_deviation" else np.ones(dim)
+    sq = pairwise_sq_dists(candidates) if given is None else given
     offsets = scope.w_received - candidates
     along, direction_sq = offsets @ direction, direction @ direction
     offsets **= 2  # in place: no second (n, d) temporary
@@ -229,11 +253,10 @@ def attack_krum(
             as_vector(scope.w_received - shift * direction)
         shift = _binary_search_shift(sq, received_sq, along, direction_sq, copies, shift)
         if shift is not None:
-            crafted = scope.w_received - shift * direction
             out = np.empty((c, dim))
-            out[0] = crafted
+            crafted = np.subtract(scope.w_received, shift * direction, out=out[0])
             for i in range(1, c):
-                out[i] = sample_in_ball(crafted, SUPPORT_RADIUS, rng)
+                sample_in_ball(crafted, SUPPORT_RADIUS, rng, out[i])
             return KrumAttackResult(out, shift, copies)
     return KrumAttackResult(None, None, 0)
 

@@ -30,14 +30,18 @@ def as_vector(values, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_model_matrix(models) -> np.ndarray:
-    """Validate a stack of parameter vectors as an (m, d) float64 matrix."""
+def as_model_matrix(models, finite: bool = True) -> np.ndarray:
+    """Validate a stack of parameter vectors as an (m, d) float64 matrix.
+
+    ``finite=False`` checks the shape only, for a caller that checks
+    finiteness on values it computes anyway.
+    """
     arr = np.asarray(models, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"model set must be 2-D (m, d), got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("model set is empty")
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise ValueError("model set contains NaN or Inf")
     return arr
 

@@ -16,6 +16,11 @@ prefix sums; Bulyan selects within rows of that matrix, with the theta and
 gamma of each subset's m-1 models.  All m+1 aggregates are then scored in
 one stacked forward pass over the validation set; Krum's, which pick among
 a few distinct models, score only those.
+
+In a federated iteration that distance matrix is the harness's one matrix of
+the after-attack models (see :mod:`flrlab.aggregation`), passed in as
+``sq_dists``; only its picks reach the metrics, through the removed devices.
+The outcome keeps the survivors as a row index into the model matrix.
 """
 
 from __future__ import annotations
@@ -37,11 +42,25 @@ DEFENSE_KINDS = ("none", *_IMPACT_COLUMNS)
 
 @dataclass(frozen=True)
 class DefenseOutcome:
-    survivors: np.ndarray
+    """The model matrix a defense filtered and the rows it removed, ascending."""
+
+    models: np.ndarray
     removed: tuple[int, ...]
 
+    @property
+    def kept(self) -> np.ndarray:
+        """The surviving rows of ``models``, ascending."""
+        return np.delete(np.arange(len(self.models)), self.removed)
 
-def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec) -> tuple[np.ndarray, np.ndarray]:
+    @property
+    def survivors(self) -> np.ndarray:
+        """The surviving models, gathered into a new array."""
+        return self.models[self.kept]
+
+
+def _loo_aggregates(
+    models: np.ndarray, agg_spec: AggregatorSpec, sq_dists: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The aggregate of all m models, then of the models without each one in
     turn, as ``(aggregates, index)``: a (u, d) array of the distinct aggregates
     and an (m+1,) index into it, ``index[0]`` for all models and ``index[i+1]``
@@ -63,7 +82,8 @@ def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec) -> tuple[np.nd
     full trimmed mean and median come from the same sort: the sum of the full
     set's window over its count, which is how ``np.mean`` computes them.
 
-    Krum and Bulyan build one pairwise distance matrix.  Krum sorts each row
+    Krum and Bulyan read one pairwise distance matrix: ``sq_dists``, when the
+    caller has built it, else a build of ``models``.  Krum sorts each row
     once: with o_j the m-1 distances from j to the others in ascending order
     and P_j their prefix sums, j's score is P_j[m-c-2], and without model i
     it is P_j[k+1] - d_ji if d_ji < o_j[k] and P_j[k] otherwise
@@ -97,7 +117,7 @@ def _loo_aggregates(models: np.ndarray, agg_spec: AggregatorSpec) -> tuple[np.nd
         np.subtract(window, ordered, out=ordered)
         ordered /= m - 1 - 2 * beta
         return out, np.arange(m + 1)
-    sq = pairwise_sq_dists(models)
+    sq = pairwise_sq_dists(models) if sq_dists is None else sq_dists
     if agg_spec.rule == "krum":
         k = m - c - 3
         others = np.sort(sq, axis=1)[:, 1:]
@@ -119,31 +139,34 @@ def impact_scores(
     agg_spec: AggregatorSpec,
     model_spec: ModelSpec,
     validation: Dataset,
+    sq_dists: np.ndarray | None = None,
 ) -> np.ndarray:
     """(m, 2) leave-one-out impacts on the validation set: row i holds how much
-    model i raises the aggregate's error rate (column 0) and loss (column 1)."""
+    model i raises the aggregate's error rate (column 0) and loss (column 1).
+    Krum and Bulyan read ``sq_dists``, the models' distance matrix, when given."""
     arr = np.asarray(models, dtype=np.float64)
     if len(arr) < 2:
         raise ValueError("leave-one-out impacts need at least two models")
-    aggregates, index = _loo_aggregates(arr, agg_spec)  # checks the matrix
+    aggregates, index = _loo_aggregates(arr, agg_spec, sq_dists)  # checks the matrix or builds it
     scores = error_and_loss(shard_objective(model_spec, validation), aggregates)[index]  # checks the aggregates
     return scores[0] - scores[1:]
 
 
 def apply_defense(
-    models, agg_spec: AggregatorSpec, model_spec: ModelSpec, kind: str, validation: Dataset
+    models, agg_spec: AggregatorSpec, model_spec: ModelSpec, kind: str, validation: Dataset, sq_dists=None
 ) -> DefenseOutcome:
     """Remove the c = ``agg_spec.assumed_compromised`` models with the largest
     impact on the master's ``validation`` set: on its error rate (kind "err"),
     its loss ("lfr"), or either ("union": the union of the two removals).  Ties
     remove lower indices first.  An unknown kind and an empty validation set
-    raise ValueError."""
+    raise ValueError.  Krum and Bulyan read ``sq_dists``, the models' distance
+    matrix, when given."""
     if kind not in _IMPACT_COLUMNS:
         raise ValueError(f"unknown defense kind {kind!r}")
     arr = np.asarray(models, dtype=np.float64)
-    impacts = impact_scores(arr, agg_spec, model_spec, validation)  # checks the matrix and the validation set
+    impacts = impact_scores(arr, agg_spec, model_spec, validation, sq_dists)  # checks the matrix and the validation set
     m, c = len(impacts), agg_spec.assumed_compromised
     if not 1 <= c < m:
         raise ValueError(f"cannot remove {c} of {m} models")
     removed = np.unique(np.argsort(-impacts[:, _IMPACT_COLUMNS[kind]], axis=0, kind="stable")[:c])
-    return DefenseOutcome(np.delete(arr, removed, axis=0), tuple(int(i) for i in removed))
+    return DefenseOutcome(arr, tuple(int(i) for i in removed))

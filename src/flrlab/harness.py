@@ -7,6 +7,10 @@ crafted ones, filter with the configured defense,
 and aggregate.  Every random draw comes from a labelled stream derived
 from (seed, trial, iteration, purpose), which makes runs bit-reproducible
 and keeps attack randomness isolated from training randomness.
+
+The harness checks each model matrix once, where it enters (the local models
+after the updates, the crafted rows after the attack), by the rows' squared
+norms, which the iteration's one Krum distance matrix then reuses.
 """
 
 from __future__ import annotations
@@ -19,7 +23,16 @@ from typing import Callable, get_args, get_type_hints
 import numpy as np
 
 # mean, median and trimmed_mean go unused here: perfbench/tracer.py patches them as attacks.direction call sites
-from flrlab.aggregation import RULES, AggregatorSpec, aggregate, mean, median, trimmed_mean
+from flrlab.aggregation import (
+    RULES,
+    AggregatorSpec,
+    aggregate,
+    blockwise_sq_dists,
+    mean,
+    median,
+    row_sq_norms,
+    trimmed_mean,
+)
 from flrlab.attacks import (
     KNOWLEDGE_MODES,
     KRUM_TARGETS,
@@ -228,32 +241,50 @@ class TrialState:
     objectives: list  # one per device: its shard as a row index into the one copy of the training set
 
 
+def _checked_norms(models: np.ndarray, devices: np.ndarray, iteration: int, what: str) -> np.ndarray:
+    """The squared norms of ``models``, one row per device of ``devices``; ConfigError names the
+    devices whose row holds NaN or Inf or is too large to square."""
+    norms = row_sq_norms(models)
+    if not np.all(finite := np.isfinite(norms)):
+        raise ConfigError(f"iteration {iteration}: the {what} of devices {devices[~finite].tolist()} "
+                          "hold NaN or Inf or are too large to square")
+    return norms
+
+
 def _craft_models(
     config: ExperimentConfig,
     models: np.ndarray,
     present: int,
     w_received: np.ndarray,
     rng: np.random.Generator,
-) -> float | None:
-    """Write crafted replacements into the ``present`` compromised rows of ``models``;
-    returns the Krum attack's shift (None otherwise).  Rows the attack finds no
-    solution for stay as they were."""
+    sq_dists: np.ndarray | None,
+) -> tuple[bool, float | None]:
+    """Write crafted replacements into the ``present`` compromised rows of ``models``; returns whether
+    it wrote them and the Krum attack's shift (None otherwise).  Rows the attack finds no solution for
+    stay as they were.  ``sq_dists`` is the distance matrix of the models in scope, or None."""
     spec = config.attack_spec()
     scope = KnowledgeScope(config.knowledge, models if config.knowledge == "full" else models[:present], w_received)
     if spec.target_rule in KRUM_TARGETS:
-        result = attack_krum(scope, spec, present, rng)
+        result = attack_krum(scope, spec, present, rng, sq_dists)
         if result.models is not None:
             models[:present] = result.models
-        return result.shift
+        return result.models is not None, result.shift
     direction = estimate_direction(scope, spec, present) if spec.objective == "directed_deviation" else None
     models[:present] = attack_trimmed_mean(scope, spec, present, direction, rng)
-    return None
+    return True, None
 
 
 def run_iteration(
     state: TrialState, config: ExperimentConfig, iteration: int
 ) -> tuple[np.ndarray, MetricsRecord, IterationReport]:
-    """One synchronized round: broadcast, local updates, attack, defense, aggregate."""
+    """One synchronized round: broadcast, local updates, attack, defense, aggregate.
+
+    A full-knowledge attack on Krum or Bulyan reads the distance matrix built
+    in two row groups, the compromised rows and the rest; after crafting only
+    the compromised rows are rebuilt.  Otherwise the matrix is built once,
+    after the attack, and only when the rule is Krum or Bulyan.  The defense
+    and the final aggregate read it, the latter over the survivors' rows.
+    """
     w_received = state.weights
     it_stream = state.stream.child(f"iter{iteration}")
     m = config.num_devices
@@ -268,24 +299,37 @@ def run_iteration(
     for row, dev in enumerate(sampled.tolist()):
         models[row] = local_update(state.objectives[dev], w_received, config.learning_rate, config.local_rounds,
                                    config.batch_size, it_stream.child(f"device{dev}").generator())
+    norms = _checked_norms(models, sampled, iteration, "local models")
 
-    shift = None
+    krum_rule = config.rule in KRUM_TARGETS
+    shift, sq_dists = None, None
     if present > 0 and config.attack in ("gaussian", "craft"):
         attack_rng = it_stream.child("attack").generator()
+        written = True
         if config.attack == "gaussian":
             models[:present] = attack_gaussian(models, present, attack_rng)
         else:
-            shift = _craft_models(config, models, present, w_received, attack_rng)
+            if config.knowledge == "full" and config.attack_spec().target_rule in KRUM_TARGETS:
+                sq_dists = blockwise_sq_dists(models, present, norms)
+            written, shift = _craft_models(config, models, present, w_received, attack_rng, sq_dists)
+        if written:
+            norms[:present] = _checked_norms(models[:present], sampled[:present], iteration, "crafted models")
+            if sq_dists is not None and krum_rule:
+                blockwise_sq_dists(models, present, norms, sq_dists)
+    if not krum_rule:
+        sq_dists = None  # only the attack read it
+    elif sq_dists is None:
+        sq_dists = blockwise_sq_dists(models, 0, norms)
 
     outcome = None
-    agg_input = models
+    rows = None
     removed: tuple[int, ...] = ()
     if config.defense != "none":
-        outcome = apply_defense(models, state.agg_spec, state.model_spec, config.defense, state.validation)
-        agg_input = outcome.survivors
+        outcome = apply_defense(models, state.agg_spec, state.model_spec, config.defense, state.validation, sq_dists)
+        rows = outcome.kept
         removed = tuple(sorted(int(sampled[i]) for i in outcome.removed))
 
-    new_global = aggregate(state.agg_spec, agg_input)
+    new_global = aggregate(state.agg_spec, models, rows, sq_dists)
     record = MetricsRecord(
         iteration=iteration,
         train_loss=loss(shard_objective(state.model_spec, state.train), new_global),

@@ -6,17 +6,21 @@ from flrlab.aggregation import (
     RULES,
     AggregatorSpec,
     aggregate,
+    blockwise_sq_dists,
     bulyan,
     bulyan_counts,
+    bulyan_within,
     krum,
     krum_scores,
     krum_select,
     mean,
     median,
     pairwise_sq_dists,
+    row_sq_norms,
     trimmed_mean,
 )
 from flrlab.core import RngStream
+from flrlab.defenses import _loo_aggregates
 
 from oracles import (
     oracle_bulyan,
@@ -49,6 +53,12 @@ class TestMean:
         models = random_models(rng, m=5, d=3)
         perm = rng.permutation(5)
         assert np.allclose(mean(models), mean(models[perm]), atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_an_overflowing_mean_is_rejected(self):
+        # the mean's own finiteness check stands in for a scan of the models
+        with pytest.raises(ValueError, match="overflows"):
+            mean(np.array([[1e308, 0.0], [1e308, 1.0]]))
 
 
 class TestKrum:
@@ -314,6 +324,112 @@ class TestPairwiseDistances:
         best, oracle_selected = oracle_krum(rows, 6)
         assert chosen == best
         assert selected.tolist() == oracle_selected
+
+
+def direct_sized_models(rng) -> np.ndarray:
+    """30 x 50 models: m*m*d well under the limit, so every build takes the direct path."""
+    return rng.standard_normal((30, 50))
+
+
+MODEL_SETS = {"direct": direct_sized_models, "gram": gram_sized_models}
+
+
+class TestBlockwiseDistances:
+    """The one distance matrix of an iteration, built in two row groups, against fresh builds."""
+
+    SPLIT = 7  # the head rows, as the compromised rows come first in a model matrix
+
+    def built(self, path):
+        models = MODEL_SETS[path](RngStream(9, f"blocks/{path}").generator())
+        return models, blockwise_sq_dists(models, self.SPLIT, row_sq_norms(models))
+
+    @pytest.mark.parametrize("path", sorted(MODEL_SETS))
+    def test_tail_block_is_a_build_of_its_rows(self, path):
+        models, sq = self.built(path)
+        assert np.array_equal(sq[self.SPLIT :, self.SPLIT :], pairwise_sq_dists(models[self.SPLIT :]))
+
+    @pytest.mark.parametrize("path", sorted(MODEL_SETS))
+    def test_head_rows_are_rows_of_the_whole_matrix(self, path):
+        models, sq = self.built(path)
+        fresh = pairwise_sq_dists(models)
+        assert np.array_equal(sq, sq.T) and np.all(np.diag(sq) == 0.0)
+        if path == "direct":
+            # every block, and the head block as a build of its own rows
+            assert np.array_equal(sq, fresh)
+            assert np.array_equal(sq[: self.SPLIT, : self.SPLIT], pairwise_sq_dists(models[: self.SPLIT]))
+            assert np.array_equal(pairwise_sq_dists(models, self.SPLIT), fresh[: self.SPLIT])
+        else:
+            assert not np.array_equal(sq, fresh)  # the Gram products round differently
+            assert np.allclose(sq, fresh, rtol=1e-9, atol=1e-9)
+            assert np.allclose(sq[: self.SPLIT, : self.SPLIT], pairwise_sq_dists(models[: self.SPLIT]), rtol=1e-9)
+
+    @pytest.mark.parametrize("path", sorted(MODEL_SETS))
+    def test_rebuilding_the_head_equals_a_build_of_the_new_models(self, path):
+        models, sq = self.built(path)
+        models[: self.SPLIT] = RngStream(10, "blocks/new").generator().standard_normal((self.SPLIT, models.shape[1]))
+        norms = row_sq_norms(models)
+        rebuilt = blockwise_sq_dists(models, self.SPLIT, norms, sq)
+        assert rebuilt is sq
+        assert np.array_equal(sq, blockwise_sq_dists(models, self.SPLIT, norms))
+        if path == "direct":
+            assert np.array_equal(sq, pairwise_sq_dists(models))
+
+    @pytest.mark.parametrize("path", sorted(MODEL_SETS))
+    def test_split_zero_is_one_whole_build(self, path):
+        models = MODEL_SETS[path](RngStream(11, "blocks").generator())
+        assert np.array_equal(blockwise_sq_dists(models, 0, row_sq_norms(models)), pairwise_sq_dists(models))
+
+    @pytest.mark.parametrize("path", sorted(MODEL_SETS))
+    def test_krum_family_picks_match_fresh_builds(self, path):
+        models, sq = self.built(path)
+        c = 5
+        assert krum(models, c, sq)[0] == krum(models, c)[0]
+        krum_spec = AggregatorSpec("krum", assumed_compromised=c)
+        given, fresh = _loo_aggregates(models, krum_spec, sq), _loo_aggregates(models, krum_spec)
+        assert np.array_equal(given[0][given[1]], fresh[0][fresh[1]])
+        # the final Krum and Bulyan over survivors read their block of the matrix
+        rows = np.delete(np.arange(len(models)), [1, 4, 12])
+        for spec in (krum_spec, AggregatorSpec("bulyan", assumed_compromised=c)):
+            assert np.array_equal(aggregate(spec, models, rows, sq), aggregate(spec, models[rows]))
+        theta, gamma = bulyan_counts(len(rows), c)
+        assert np.array_equal(bulyan_within(models, sq, rows, c, theta, gamma), bulyan(models[rows], c, theta, gamma))
+
+    def test_given_norms_replace_the_scan(self, monkeypatch):
+        from flrlab import aggregation
+
+        models = direct_sized_models(RngStream(12, "blocks").generator())
+        check, scans = aggregation.as_model_matrix, []
+        monkeypatch.setattr(aggregation, "as_model_matrix", lambda arr, finite=True: scans.append(finite) or check(arr, finite))
+        blockwise_sq_dists(models, self.SPLIT, row_sq_norms(models))
+        assert scans and not any(scans)  # shape checks only
+        models[3, 2] = np.inf
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            blockwise_sq_dists(models, self.SPLIT, row_sq_norms(models))
+
+
+class TestRowSubsets:
+    """aggregate over a row index equals the rule over those rows gathered."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [AggregatorSpec("mean"), AggregatorSpec("trimmed_mean", trim_count=2), AggregatorSpec("median"),
+         AggregatorSpec("krum", assumed_compromised=2), AggregatorSpec("bulyan", assumed_compromised=1)],
+        ids=lambda spec: spec.rule,
+    )
+    def test_rows_match_the_gathered_rows(self, spec):
+        models = RngStream(13, "rows").generator().standard_normal((11, 4))
+        rows = np.array([0, 2, 3, 5, 6, 7, 9, 10])
+        before = models.copy()
+        assert np.array_equal(aggregate(spec, models, rows), aggregate(spec, models[rows]))
+        assert np.array_equal(aggregate(spec, models, rows, pairwise_sq_dists(models)), aggregate(spec, models[rows]))
+        assert np.array_equal(models, before)  # the window rules sort their own copy
+
+    def test_window_rules_leave_their_input_unsorted(self):
+        models = RngStream(14, "rows").generator().standard_normal((7, 3))
+        before = models.copy()
+        trimmed_mean(models, 2)
+        median(models)
+        assert np.array_equal(models, before)
 
 
 class TestAggregateDispatch:

@@ -214,6 +214,29 @@ class TestScalarSearch:
         assert result.success and calls == expected
         assert mode == "full" or result.crafted_copies == 4  # partial searched four copy plans
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("mode", KNOWLEDGE_MODES)
+    def test_a_given_matrix_is_read_not_rebuilt(self, monkeypatch, mode, objective):
+        # with the matrix of the models in scope, the attack builds none and crafts the same models
+        from flrlab import aggregation, attacks
+
+        if mode == "partial":
+            scope, c, rng = augmentation_scope()
+        else:
+            rng = RngStream(2, "a").generator()
+            scope, c = full_scope(rng)
+        spec, state = AttackSpec("krum", objective=objective), rng.bit_generator.state
+        alone = attack_krum(scope, spec, c, rng)
+        build, calls = aggregation.pairwise_sq_dists, []
+        matrix = build(scope.models)
+        for module in (aggregation, attacks):
+            monkeypatch.setattr(module, "pairwise_sq_dists", lambda *args, **kw: calls.append(1) or build(*args, **kw))
+        rng.bit_generator.state = state
+        given = attack_krum(scope, spec, c, rng, matrix)
+        assert calls == []
+        assert (given.shift, given.crafted_copies) == (alone.shift, alone.crafted_copies)
+        assert np.array_equal(given.models, alone.models)
+
 
 class TestAttackKrum:
     def test_no_solution_when_benign_equal_received(self):
@@ -433,10 +456,24 @@ class TestAttackGaussian:
 class TestSampleInBall:
     def test_within_radius(self):
         rng = RngStream(20, "b").generator()
-        center = rng.standard_normal(6)
+        center, point = rng.standard_normal(6), np.empty(6)
         for _ in range(200):
-            point = sample_in_ball(center, 0.25, rng)
+            sample_in_ball(center, 0.25, rng, point)
             assert np.linalg.norm(point - center) <= 0.25
+
+    def test_draws_in_place_bit_equal_to_the_out_of_place_formula(self):
+        # one normal draw, then one uniform draw, per sample: center + (r / |direction|) * direction
+        center = RngStream(21, "b").generator().standard_normal(7850)
+        drawn, expected = np.empty((5, 7850)), []
+        rng = RngStream(22, "b").generator()
+        for row in drawn:
+            assert sample_in_ball(center, 0.01, rng, row) is row
+        rng = RngStream(22, "b").generator()
+        for _ in drawn:
+            direction = rng.standard_normal(7850)
+            r = 0.01 * rng.random() ** (1.0 / 7850)
+            expected.append(center + (r / np.linalg.norm(direction)) * direction)
+        assert np.array_equal(drawn, np.array(expected))
 
 
 class TestFlipLabels:

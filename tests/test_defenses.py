@@ -117,10 +117,14 @@ class TestImpactScores:
             calls.append(len(arr))
             return original(arr)
 
+        matrix = original(models)
         monkeypatch.setattr(aggregation, "pairwise_sq_dists", counted)
         monkeypatch.setattr(defenses, "pairwise_sq_dists", counted)
         impacts = impact_scores(models, spec, model_spec, validation)
         assert calls == [len(models)]  # one distance matrix serves the full aggregate and every subset
+        # the harness's matrix of the models replaces that build
+        assert np.array_equal(impact_scores(models, spec, model_spec, validation, matrix), impacts)
+        assert calls == [len(models)]
         monkeypatch.undo()
 
         obj = shard_objective(model_spec, validation)
@@ -139,8 +143,11 @@ class TestImpactScores:
         for module in (aggregation, defenses):
             monkeypatch.setattr(module, "pairwise_sq_dists", lambda *args: builds.append(1) or build(*args))
             monkeypatch.setattr(module, "krum_select", lambda *args: selects.append(1) or select(*args), raising=False)
-        impact_scores(models, AggregatorSpec("krum", assumed_compromised=2), model_spec, validation)
+        spec = AggregatorSpec("krum", assumed_compromised=2)
+        impact_scores(models, spec, model_spec, validation)
         assert len(builds) == 1 and not selects  # every selection comes from one sorted matrix
+        impact_scores(models, spec, model_spec, validation, build(models))
+        assert len(builds) == 1 and not selects  # a given matrix is only read
 
     def test_window_rules_make_no_aggregate_call(self, validation, model_spec, monkeypatch):
         from flrlab import defenses
@@ -284,6 +291,14 @@ class TestDefendErr:
         models = np.tile(np.linspace(0, 1, model_spec.dim), (6, 1))
         outcome = apply_defense(models, mean_spec(2), model_spec, "err", validation)
         assert outcome.removed == (0, 1)
+
+    def test_survivors_are_a_row_index_into_the_models(self, validation, model_spec):
+        models = trained_models(validation, model_spec, count=8)
+        models[[2, 5]] *= -6.0
+        outcome = apply_defense(models, mean_spec(2), model_spec, "err", validation)
+        assert outcome.models is models  # no copy of the matrix
+        assert outcome.kept.tolist() == [i for i in range(8) if i not in outcome.removed]
+        assert np.array_equal(outcome.survivors, np.delete(models, outcome.removed, axis=0))
 
 
 class TestDefendLfr:

@@ -299,12 +299,13 @@ class TestIterationLifetime:
             return real_aggregate(*args)
 
         def weak_hook(report):
-            refs.extend(weakref.ref(array) for array in (report.models, report.defense.survivors))
+            # the defense outcome holds the survivors as a row index into report.models
+            refs.extend(weakref.ref(obj) for obj in (report.models, report.defense))
 
         monkeypatch.setattr(harness, attack_site, recording_attack)
         monkeypatch.setattr(harness, "aggregate", checking_aggregate)
         run_experiment(config, on_iteration=weak_hook)
-        # iteration t sees its own crafted array and three arrays of each earlier iteration
+        # iteration t sees its own crafted array and three objects of each earlier iteration
         assert [len(dead) for dead in dead_at_aggregate] == [1, 4, 7]
         assert all(all(dead) for dead in dead_at_aggregate)
 
@@ -333,3 +334,111 @@ class TestModelMatrix:
             assert [obj.rows.tolist() for obj, _ in calls] == [shards[0][dev].tolist() for dev in report.sampled]
             assert report.models.dtype == np.float64 and report.models.flags.c_contiguous
             assert np.array_equal(report.models, np.stack([update for _, update in calls]))
+
+
+class TestNonFiniteModels:
+    """A model matrix that holds NaN or Inf, or rows too large to square, stops the run with a
+    ConfigError that names the iteration and the devices, where the matrix enters."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize(
+        "fields", [dict(rule="mean"), dict(rule="krum", attack="craft", knowledge="full", defense="union")],
+        ids=["mean", "krum-union"],
+    )
+    def test_huge_spread_stops_at_the_local_models(self, fields):
+        # every local model of iteration 0 lies near 1e199: finite, but its squared norm overflows
+        config = replace(BASE, synth_spread=1e200, **fields)
+        config.validate()
+        reports = []
+        every_device = r"\[0, 1, 2, 3, 4, 5, 6, 7, 8, 9\]"
+        with pytest.raises(ConfigError, match=rf"iteration 0: the local models of devices {every_device}"):
+            run_experiment(config, on_iteration=reports.append)
+        assert reports == []
+
+    def test_a_nan_local_model_is_named(self, monkeypatch):
+        real_update = harness.local_update
+
+        def nan_for_device_6(objective, weights, *args):
+            calls.append(1)
+            out = real_update(objective, weights, *args)
+            if len(calls) == 10 + 7:  # iteration 1, the seventh of 10 devices
+                out[3] = np.nan
+            return out
+
+        calls = []
+        monkeypatch.setattr(harness, "local_update", nan_for_device_6)
+        with pytest.raises(ConfigError, match=r"iteration 1: the local models of devices \[6\] hold NaN or Inf"):
+            run_experiment(replace(BASE, rule="krum"))
+
+    def test_non_finite_crafted_rows_are_named(self, monkeypatch):
+        def infinite_attack(models, present, rng):
+            return np.full((present, models.shape[1]), np.inf)
+
+        monkeypatch.setattr(harness, "attack_gaussian", infinite_attack)
+        with pytest.raises(ConfigError, match=r"iteration 0: the crafted models of devices \[0, 1\]"):
+            run_experiment(replace(BASE, attack="gaussian"))
+
+
+class TestOneDistanceMatrixPerIteration:
+    """The builds of an iteration's Krum matrix, as (rows of models, head rows) of each pairwise_sq_dists call."""
+
+    def builds(self, monkeypatch, config) -> list:
+        from flrlab import aggregation, attacks, defenses
+
+        build, calls = aggregation.pairwise_sq_dists, []
+
+        def counted(models, head=None, norms=None):
+            calls.append((len(models), head))
+            return build(models, head, norms)
+
+        for module in (aggregation, attacks, defenses):
+            monkeypatch.setattr(module, "pairwise_sq_dists", counted)
+        self.records = run_experiment(replace(config, iterations=3)).trial_results[0].records
+        return calls
+
+    def test_full_knowledge_krum_union(self, monkeypatch):
+        # the benign rows' block once; the 2 compromised rows against all 10 before and after crafting
+        # (rebuilt only when the attack found a shift and so wrote the crafted rows)
+        config = replace(BASE, synth_features=50, rule="krum", attack="craft", knowledge="full", defense="union")
+        calls = self.builds(monkeypatch, config)
+        shifts = [record.attack_shift for record in self.records]
+        assert shifts[0] is not None and None in shifts  # both cases occur
+        assert calls == [build for shift in shifts for build in [(8, None), (10, 2)] + [(10, 2)] * (shift is not None)]
+
+    def test_partial_knowledge_krum_err(self, monkeypatch):
+        # the attack's candidates are the 4 compromised rows; the defense and the final Krum share one whole build
+        config = replace(BASE, num_devices=20, compromised=4, rule="krum", attack="craft", knowledge="partial",
+                         defense="err")
+        assert self.builds(monkeypatch, config) == [(4, None), (20, None)] * 3
+
+    @pytest.mark.parametrize("rule, expected", [("krum", [(10, None)]), ("bulyan", [(10, None)]), ("mean", [])])
+    def test_no_attack(self, monkeypatch, rule, expected):
+        config = replace(BASE, rule=rule, compromised=1, defense="lfr" if rule == "krum" else "none")
+        assert self.builds(monkeypatch, config) == expected * 3
+
+    def test_a_krum_targeted_attack_on_mean_builds_nothing_after_crafting(self, monkeypatch):
+        config = replace(BASE, synth_features=50, rule="mean", attack_rule="krum", attack="craft", knowledge="full")
+        assert self.builds(monkeypatch, config) == [(8, None), (10, 2)] * 3
+
+    def test_the_defense_and_final_aggregate_read_the_after_attack_matrix(self, monkeypatch):
+        # on the direct path the one matrix equals a fresh build of the after-attack models, bit for bit
+        from flrlab.aggregation import pairwise_sq_dists
+
+        seen = []
+        real_defense, real_aggregate = harness.apply_defense, harness.aggregate
+
+        def defense(models, *args):
+            seen.append(("defense", models, args[-1]))
+            return real_defense(models, *args)
+
+        def final(spec, models, rows, sq_dists):
+            seen.append(("final", models, sq_dists))
+            return real_aggregate(spec, models, rows, sq_dists)
+
+        monkeypatch.setattr(harness, "apply_defense", defense)
+        monkeypatch.setattr(harness, "aggregate", final)
+        config = replace(BASE, synth_features=50, rule="krum", attack="craft", knowledge="full", defense="union")
+        run_experiment(config)
+        assert [site for site, _, _ in seen] == ["defense", "final"] * config.iterations
+        for _, models, sq_dists in seen:
+            assert np.array_equal(sq_dists, pairwise_sq_dists(models))
