@@ -61,14 +61,25 @@ class RngStream:
     label: str
 
     def generator(self) -> np.random.Generator:
-        """A fresh generator positioned at the head of this stream."""
-        digest = hashlib.sha256(self.label.encode("utf-8")).digest()
-        words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-        return np.random.default_rng(np.random.SeedSequence([self.seed & _SEED_MASK, *words]))
+        """A fresh generator positioned at the head of this stream: its seed sequence
+        takes the masked seed and the label's SHA-256 digest as five 64-bit values."""
+        values = np.empty(5, dtype="<u8")
+        values[0] = self.seed & _SEED_MASK
+        values[1:] = np.frombuffer(hashlib.sha256(self.label.encode("utf-8")).digest(), dtype="<u8")
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_uint32_words(values))))
 
     def child(self, suffix: str) -> "RngStream":
         """Derive a sub-stream, e.g. ``stream.child("iter3/device7")``."""
         return RngStream(self.seed, f"{self.label}/{suffix}")
+
+
+def _uint32_words(values: np.ndarray) -> np.ndarray:
+    """The uint32 words ``SeedSequence`` makes of a list of ints in [0, 2**64), which
+    it takes faster as an array: each value's low word, then its high word unless zero."""
+    halves = np.asarray(values, dtype="<u8").view("<u4").reshape(-1, 2)
+    keep = halves != 0
+    keep[:, 0] = True
+    return halves[keep]
 
 
 def signed_direction(current, previous) -> np.ndarray:

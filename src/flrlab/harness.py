@@ -11,6 +11,11 @@ and keeps attack randomness isolated from training randomness.
 The harness checks each model matrix once, where it enters (the local models
 after the updates, the crafted rows after the attack), by the rows' squared
 norms, which the iteration's one Krum distance matrix then reuses.
+
+The metrics (train loss, test error, validation error) are output only: no
+model, Krum pick, removal set or attack shift reads them, so the product
+form their evaluation takes (see :mod:`flrlab.models`) can move reported
+digits and nothing else.
 """
 
 from __future__ import annotations
@@ -297,8 +302,8 @@ def run_iteration(
 
     models = np.empty((k, state.model_spec.dim))
     for row, dev in enumerate(sampled.tolist()):
-        models[row] = local_update(state.objectives[dev], w_received, config.learning_rate, config.local_rounds,
-                                   config.batch_size, it_stream.child(f"device{dev}").generator())
+        local_update(state.objectives[dev], w_received, config.learning_rate, config.local_rounds,
+                     config.batch_size, it_stream.child(f"device{dev}").generator(), models[row])
     norms = _checked_norms(models, sampled, iteration, "local models")
 
     krum_rule = config.rule in KRUM_TARGETS

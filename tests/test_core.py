@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from flrlab.core import (
     RngStream,
+    _uint32_words,
     as_vector,
     signed_direction,
 )
@@ -61,6 +64,24 @@ class TestRngStream:
         first = RngStream(2024, "partition").generator().random(3)
         again = RngStream(2024, "partition").generator().random(3)
         assert first.tolist() == again.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 2**40 + 7])
+    @pytest.mark.parametrize("label", ["x", "trial0/iter3/device7", "trial12/" + "partition/" * 40 + "attack"])
+    def test_draws_equal_a_seed_sequence_over_the_seed_and_digest_ints(self, seed, label):
+        # the seed and the label's SHA-256 digest as four little-endian 64-bit ints, as numpy takes them
+        digest = hashlib.sha256(label.encode("utf-8")).digest()
+        words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+        expected = np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), *words]))
+        assert np.array_equal(RngStream(seed, label).generator().integers(0, 2**63, 16), expected.integers(0, 2**63, 16))
+
+    def test_words_are_those_numpy_makes_of_the_ints(self):
+        # zero high words are dropped and a zero value keeps one word, as numpy's int conversion does
+        ints = [0, 1, 2**32 - 1, 2**32, 2**32 + 5, 7 << 40, 2**64 - 1, 0]
+        words = _uint32_words(np.array(ints, dtype=np.uint64))
+        assert words.dtype == np.uint32
+        assert words.tolist() == [0, 1, 2**32 - 1, 0, 1, 5, 1, 0, 7 << 8, 2**32 - 1, 2**32 - 1, 0]
+        state = np.random.SeedSequence(ints).generate_state(8)
+        assert np.array_equal(np.random.SeedSequence(words).generate_state(8), state)
 
 
 def test_as_vector_validates_dim():

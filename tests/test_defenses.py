@@ -253,9 +253,9 @@ class TestStackedScoring:
         models = fast_path_case("random", validation, model_spec, rule)[0]
         forward, passes, singles = models_module._forward, [], []
 
-        def counted_forward(layers, x):
+        def counted_forward(layers, x, *product):
             passes.append(layers[0][0].shape[:-2])  # the stack's leading axis
-            return forward(layers, x)
+            return forward(layers, x, *product)
 
         monkeypatch.setattr(models_module, "_forward", counted_forward)
         monkeypatch.setattr(defenses, "error_rate", lambda *args: singles.append(args))

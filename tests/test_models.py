@@ -185,6 +185,19 @@ class TestLocalUpdate:
             w -= 0.2 * gradient(obj, w, batch)
         assert np.array_equal(auto, w)
 
+    @pytest.mark.parametrize("kind", ["lr", "mlp"])
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_writing_into_out_is_bit_equal_to_the_returned_vector(self, kind, rounds):
+        spec, obj, rng = toy_objective(kind=kind, n=30, q=6, L=4, hidden=5, seed=4)
+        start = 0.5 * rng.standard_normal(spec.dim)
+        returned = local_update(obj, start, 0.3, rounds, 8, RngStream(3, "u").generator())
+        matrix = np.full((3, spec.dim), np.nan)
+        written = local_update(obj, start, 0.3, rounds, 8, RngStream(3, "u").generator(), matrix[1])
+        assert np.shares_memory(written, matrix[1])
+        assert np.array_equal(matrix[1], returned)
+        assert np.isnan(matrix[[0, 2]]).all()  # only the given row is written
+        assert not np.array_equal(start, returned)
+
 
 class TestErrorRate:
     def test_all_correct(self):
@@ -281,6 +294,20 @@ class TestScoringOracle:
             error, cross_entropy = oracle_error_and_loss(spec.layers, w.tolist(), x, y)
             assert error_rate(spec, w, data) == row[0] == error
             assert loss(obj, w) == row[1] == pytest.approx(cross_entropy, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["lr", "mlp"])
+    def test_whole_dataset_scores_match_the_oracle_at_mnist_width(self, kind):
+        # 500 rows x 784 features x 10 classes: loss and error_rate take the features-long product here
+        spec = ModelSpec(kind, 784, 10, hidden=3)
+        rng = RngStream(5, "oracle/mnist-width").generator()
+        data = Dataset(rng.random((500, 784)), rng.integers(0, 10, 500), 10)
+        w = 0.05 * rng.standard_normal(spec.dim)
+        obj = shard_objective(spec, data)
+        error, cross_entropy = oracle_error_and_loss(spec.layers, w.tolist(), data.features.tolist(), data.labels.tolist())
+        assert 0.0 < error < 1.0
+        assert error_rate(spec, w, data) == error
+        assert loss(obj, w) == pytest.approx(cross_entropy, rel=1e-12)
+        assert loss(obj, w) == pytest.approx(error_and_loss(obj, w[None])[0, 1], rel=1e-12)
 
 
 class TestRowIndexShards:
