@@ -16,12 +16,40 @@ The metrics (train loss, test error, validation error) are output only: no
 model, Krum pick, removal set or attack shift reads them, so the product
 form their evaluation takes (see :mod:`flrlab.models`) can move reported
 digits and nothing else.
+
+Since nothing waits on the metrics, iteration t evaluates its global model
+on a helper thread while the main thread samples and trains iteration t+1's
+local models; iteration t+1 checks those models where it starts, as if it
+had trained them itself.  The two overlap because the evaluation is mostly
+BLAS products, which release the GIL, while local SGD is mostly interpreter
+work on small arrays.  Every byte stays the same: the helper reads only the
+new global model and the datasets, which nothing writes meanwhile.
+
+- **The gate.**  Only an evaluation that reads at least
+  ``OVERLAP_MIN_VALUES`` (2^20) feature values goes to the helper; a smaller
+  one runs inline through :func:`loss` and :func:`error_rate`.  That is the
+  measured crossover: the two paths run even from 0.6M to 1.2M values, the
+  overlap wins from 2.3M, and below 0.4M its hand-off costs more than it
+  hides, up to 53% of a tiny iteration.
+- **The CPU.**  The helper keeps off the CPU the main thread ran on when the
+  trial started; left to the scheduler it woke on the main thread's CPU and
+  the two took turns, which gave no gain on 2 vCPUs.
+- **The tracer.**  The helper runs :func:`flrlab.models._evaluate`, which
+  calls nothing that perfbench/tracer.py patches.  The tracer keeps one span
+  stack per process, and a traced call on a second thread would interleave
+  with the main thread's and corrupt it; so on an overlapped run traced
+  ``models.eval`` counts only each trial's last iteration, which has no next
+  round to overlap and evaluates inline.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
+import os
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from typing import Callable, get_args, get_type_hints
 
@@ -52,7 +80,16 @@ from flrlab.attacks import (
 from flrlab.core import RngStream
 from flrlab.data import Dataset, load_csv, load_idx, partition_noniid, synth_blobs
 from flrlab.defenses import DEFENSE_KINDS, DefenseOutcome, apply_defense
-from flrlab.models import MODEL_KINDS, ModelSpec, error_rate, init_params, local_update, loss, shard_objective
+from flrlab.models import (
+    MODEL_KINDS,
+    ModelSpec,
+    _evaluate,
+    error_rate,
+    init_params,
+    local_update,
+    loss,
+    shard_objective,
+)
 
 # the allowed values of each ExperimentConfig field that names a choice
 CHOICES = {
@@ -63,6 +100,14 @@ CHOICES = {
     "dataset": ("synth", "idx", "csv"),
     "model": MODEL_KINDS,
 }
+
+
+# Evaluation moves to the helper thread once it reads this many feature values,
+# (train + test + validation rows) x features.  Measured on 784-feature data at
+# 1 BLAS thread on 2 vCPUs, per iteration, overlapped against inline: 17-53%
+# slower up to 0.37M values, even (within 10%) at 0.6-1.2M, 11-29% faster from
+# 2.3M values (the benchmark workloads read 5.6M; the golden grid at most 8000).
+OVERLAP_MIN_VALUES = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -224,7 +269,8 @@ class IterationReport:
 
     The harness drops its reference to a report once the ``on_iteration`` hook
     has returned, so the report's arrays are freed before the next iteration
-    allocates its own, unless the hook keeps the report.
+    aggregates, unless the hook keeps the report.  The next iteration's local
+    models are already trained by then, beside them.
     """
 
     iteration: int
@@ -236,6 +282,18 @@ class IterationReport:
 
 @dataclass
 class TrialState:
+    """What a trial's iterations share.
+
+    ``helper`` is the trial's one-thread executor.  It evaluates each global
+    model, through a scorer the benchmark's tracer does not patch, while the
+    main thread trains the next iteration's local models.  It is None when the
+    evaluation reads fewer than ``OVERLAP_MIN_VALUES`` feature values, below
+    the measured crossover; evaluation then runs inline, as it does on the
+    last iteration, which has no next round to overlap.  ``next_round`` holds the
+    next iteration's (sampled devices, local models), trained by the current
+    iteration and not yet checked; it is None until then.
+    """
+
     model_spec: ModelSpec
     agg_spec: AggregatorSpec
     train: Dataset
@@ -244,6 +302,8 @@ class TrialState:
     stream: RngStream
     weights: np.ndarray
     objectives: list  # one per device: its shard as a row index into the one copy of the training set
+    helper: Executor | None = None
+    next_round: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _checked_norms(models: np.ndarray, devices: np.ndarray, iteration: int, what: str) -> np.ndarray:
@@ -279,10 +339,63 @@ def _craft_models(
     return True, None
 
 
+def _local_models(
+    state: TrialState, config: ExperimentConfig, iteration: int, w_received: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The devices ``iteration`` samples, ascending, and their local models trained from
+    ``w_received``, one row each; the rows are not checked."""
+    it_stream = state.stream.child(f"iter{iteration}")
+    m = config.num_devices
+    k = config.resolved_devices_per_round()
+    if k < m:
+        sampled = np.sort(it_stream.child("sample").generator().choice(m, size=k, replace=False))
+    else:
+        sampled = np.arange(m)
+    models = np.empty((k, state.model_spec.dim))
+    for row, dev in enumerate(sampled.tolist()):
+        local_update(state.objectives[dev], w_received, config.learning_rate, config.local_rounds,
+                     config.batch_size, it_stream.child(f"device{dev}").generator(), models[row])
+    return sampled, models
+
+
+def _helper_metrics(state: TrialState, new_global: np.ndarray) -> tuple[float, float, float]:
+    """:func:`_metrics` through :func:`flrlab.models._evaluate`, which calls nothing
+    perfbench/tracer.py patches, so the helper thread may run it."""
+    spec = state.model_spec
+    return (
+        float(_evaluate(shard_objective(spec, state.train), new_global)[1]),
+        float(_evaluate(shard_objective(spec, state.test), new_global)[0]),
+        float(_evaluate(shard_objective(spec, state.validation), new_global)[0]),
+    )
+
+
+def _metrics(state: TrialState, new_global: np.ndarray) -> tuple[float, float, float]:
+    """Train loss, test error and validation error of ``new_global``."""
+    spec = state.model_spec
+    return (
+        loss(shard_objective(spec, state.train), new_global),
+        error_rate(spec, new_global, state.test),
+        error_rate(spec, new_global, state.validation),
+    )
+
+
 def run_iteration(
     state: TrialState, config: ExperimentConfig, iteration: int
 ) -> tuple[np.ndarray, MetricsRecord, IterationReport]:
-    """One synchronized round: broadcast, local updates, attack, defense, aggregate.
+    """One synchronized round: broadcast, local updates, attack, defense, aggregate, evaluate.
+
+    The local models come from ``state.next_round`` when the previous
+    iteration trained them (iteration 0 trains its own), and are checked here,
+    so a non-finite one stops the iteration that owns it, after the previous
+    iteration's hook.  After aggregating, iteration t hands the evaluation of
+    its global model to ``state.helper``, trains iteration t+1's local models
+    into ``state.next_round`` meanwhile, then waits for the metrics.  It can,
+    because nothing reads the metrics; the helper calls nothing the
+    benchmark's tracer patches (module docstring).  A trial below the size
+    gate, ``OVERLAP_MIN_VALUES`` (set at the measured crossover, see its
+    comment), has no helper and evaluates inline after the training.  The
+    last iteration trains nothing ahead, so it evaluates inline too: waiting
+    on the helper would only add the hand-off.
 
     A full-knowledge attack on Krum or Bulyan reads the distance matrix built
     in two row groups, the compromised rows and the rest; after crafting only
@@ -291,25 +404,15 @@ def run_iteration(
     and the final aggregate read it, the latter over the survivors' rows.
     """
     w_received = state.weights
-    it_stream = state.stream.child(f"iter{iteration}")
-    m = config.num_devices
-    k = config.resolved_devices_per_round()
-    if k < m:
-        sampled = np.sort(it_stream.child("sample").generator().choice(m, size=k, replace=False))
-    else:
-        sampled = np.arange(m)
+    sampled, models = state.next_round or _local_models(state, config, iteration, w_received)
+    state.next_round = None
     present = int(np.sum(sampled < config.compromised))
-
-    models = np.empty((k, state.model_spec.dim))
-    for row, dev in enumerate(sampled.tolist()):
-        local_update(state.objectives[dev], w_received, config.learning_rate, config.local_rounds,
-                     config.batch_size, it_stream.child(f"device{dev}").generator(), models[row])
     norms = _checked_norms(models, sampled, iteration, "local models")
 
     krum_rule = config.rule in KRUM_TARGETS
     shift, sq_dists = None, None
     if present > 0 and config.attack in ("gaussian", "craft"):
-        attack_rng = it_stream.child("attack").generator()
+        attack_rng = state.stream.child(f"iter{iteration}/attack").generator()
         written = True
         if config.attack == "gaussian":
             models[:present] = attack_gaussian(models, present, attack_rng)
@@ -335,11 +438,17 @@ def run_iteration(
         removed = tuple(sorted(int(sampled[i]) for i in outcome.removed))
 
     new_global = aggregate(state.agg_spec, models, rows, sq_dists)
+    pending = None
+    if iteration + 1 < config.iterations:
+        if state.helper is not None:
+            pending = state.helper.submit(_helper_metrics, state, new_global)
+        state.next_round = _local_models(state, config, iteration + 1, new_global)
+    train_loss, test_error, validation_error = _metrics(state, new_global) if pending is None else pending.result()
     record = MetricsRecord(
         iteration=iteration,
-        train_loss=loss(shard_objective(state.model_spec, state.train), new_global),
-        test_error=error_rate(state.model_spec, new_global, state.test),
-        validation_error=error_rate(state.model_spec, new_global, state.validation),
+        train_loss=train_loss,
+        test_error=test_error,
+        validation_error=validation_error,
         attack_active=config.attack != "none",
         attack_shift=shift,
         removed_devices=removed,
@@ -412,6 +521,30 @@ def device_objectives(config: ExperimentConfig, model_spec: ModelSpec, train: Da
             for dev, shard in enumerate(shards)]
 
 
+def _off_this_cpu() -> Callable[[], None] | None:
+    """An initializer that keeps the helper thread off the CPU the calling (main) thread runs on now;
+    None where the platform cannot say which CPU that is or only one CPU is allowed.
+
+    Linux wakes a thread on its waker's CPU when it can: unpinned, the helper shared
+    the main thread's CPU in 40 of 40 sampled evaluations on a 2-vCPU host, where the
+    two take turns instead of overlapping.  The main thread itself is left unpinned.
+    """
+    try:
+        others = os.sched_getaffinity(0) - {ctypes.CDLL(None).sched_getcpu()}
+    except (AttributeError, OSError, TypeError):  # not Linux, or no glibc
+        return None
+    if not others:
+        return None
+
+    def pin() -> None:
+        try:
+            os.sched_setaffinity(0, others)  # 0: the calling thread
+        except OSError:  # the allowed CPUs changed since; stay unpinned
+            pass
+
+    return pin
+
+
 def run_trial(
     config: ExperimentConfig,
     train: Dataset,
@@ -424,27 +557,44 @@ def run_trial(
 
     ``on_iteration`` receives each iteration's report; the harness keeps no
     reference to a report after that hook returns.
+
+    When the evaluation reads at least ``OVERLAP_MIN_VALUES`` feature values
+    (the gate, set at the measured crossover), the trial owns one helper
+    thread that evaluates iteration t's global model while iteration t+1's
+    local models train (see :func:`run_iteration`), kept off the main thread's
+    CPU where the platform allows.  Nothing reads the metrics, so the overlap
+    changes no byte, and the helper calls nothing the benchmark's tracer
+    patches (module docstring).  The thread starts with the first
+    evaluation and is joined when the trial ends, by return or by any
+    exception, the hook's included, so no thread outlives a trial.
     """
     stream = RngStream(config.seed, f"trial{trial_index}")
     model_spec = config.model_spec(train)
-    state = TrialState(
-        model_spec=model_spec,
-        agg_spec=config.aggregator_spec(),
-        train=train,
-        test=test,
-        validation=_carve_validation(test, config.validation_size, stream.child("validation").generator()),
-        stream=stream,
-        weights=init_params(model_spec, stream.child("init").generator()),
-        objectives=device_objectives(config, model_spec, train, shards),
-    )
-
+    validation = _carve_validation(test, config.validation_size, stream.child("validation").generator())
+    overlap = (len(train) + len(test) + len(validation)) * train.num_features >= OVERLAP_MIN_VALUES
     records: list[MetricsRecord] = []
-    for t in range(config.iterations):
-        state.weights, record, report = run_iteration(state, config, t)
-        records.append(record)
-        if on_iteration is not None:
-            on_iteration(report)
-        del report  # the next iteration's model matrices must not coexist with this one's
+    pool = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="flrlab-eval", initializer=_off_this_cpu())
+            if overlap else nullcontext())
+    with pool as helper:
+        state = TrialState(
+            model_spec=model_spec,
+            agg_spec=config.aggregator_spec(),
+            train=train,
+            test=test,
+            validation=validation,
+            stream=stream,
+            weights=init_params(model_spec, stream.child("init").generator()),
+            objectives=device_objectives(config, model_spec, train, shards),
+            helper=helper,
+        )
+        for t in range(config.iterations):
+            state.weights, record, report = run_iteration(state, config, t)
+            records.append(record)
+            if on_iteration is not None:
+                on_iteration(report)
+            # the report's matrices die here, before the next aggregate; the next
+            # iteration's local models were built beside them
+            del report
 
     return TrialResult(records=tuple(records))
 

@@ -164,7 +164,7 @@ def _forward(layers, x: np.ndarray, product=np.matmul) -> tuple[list[np.ndarray]
 
 def loss(objective: Objective, params) -> float:
     """Mean cross-entropy over the shard, probabilities clamped at 1e-12."""
-    return float(_scores(objective, as_vector(params, dim=objective.spec.dim)[None], _features_long_product)[0, 1])
+    return float(_evaluate(objective, as_vector(params, dim=objective.spec.dim))[1])
 
 
 def gradient(objective: Objective, params, batch_indices=None) -> np.ndarray:
@@ -230,8 +230,17 @@ def local_update(
 
 def error_rate(spec: ModelSpec, params, dataset: Dataset) -> float:
     """Fraction of misclassified instances; argmax ties go to the lowest class."""
-    stack = as_vector(params, dim=spec.dim)[None]
-    return float(_scores(shard_objective(spec, dataset), stack, _features_long_product)[0, 0])
+    return float(_evaluate(shard_objective(spec, dataset), as_vector(params, dim=spec.dim))[0])
+
+
+def _evaluate(objective: Objective, params: np.ndarray) -> np.ndarray:
+    """(error rate, mean cross-entropy) of one float64 parameter vector over the whole shard: the
+    scoring :func:`error_rate` and :func:`loss` do after checking ``params``.
+
+    It calls no function that perfbench/tracer.py patches, so the harness
+    may run it on a helper thread.
+    """
+    return _scores(objective, params[None], _features_long_product)[0]
 
 
 def error_and_loss(objective: Objective, param_stack) -> np.ndarray:

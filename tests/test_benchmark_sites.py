@@ -7,12 +7,14 @@ when someone runs ``perfbench/run.py``."""
 import importlib
 import importlib.util
 import json
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from flrlab.harness import ExperimentConfig
+from flrlab import harness
+from flrlab.harness import ExperimentConfig, run_experiment
 
 from test_golden import BASE
 
@@ -99,3 +101,29 @@ def test_the_direction_work_stays_inside_its_traced_call(monkeypatch):
     assert run.problems == []
     assert layers["attacks.direction_calls"][0] == 1
     assert layers["attacks.direction_ms"][0] > 0
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_no_traced_call_site_runs_off_the_main_thread(monkeypatch, workload):
+    # perfbench/tracer.py keeps one span stack per process: a traced call on a second thread could
+    # interleave its `index = len(spans)` and `spans.append(None)` with the main thread's, leave a
+    # None span behind, and crash `_fold` when it unpacks that span
+    monkeypatch.setattr(harness, "OVERLAP_MIN_VALUES", 0)  # every evaluation on the helper thread
+    callers = []
+    for _, module, attr in traced_sites():
+        *path, leaf = attr.split(".")
+        owner = importlib.import_module(f"flrlab.{module}")
+        for part in path:
+            owner = getattr(owner, part)
+
+        def recording(*args, original=getattr(owner, leaf), **kwargs):
+            callers.append(threading.current_thread())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, leaf, recording)
+    helper, real_evaluate = [], harness._evaluate
+    monkeypatch.setattr(harness, "_evaluate",
+                        lambda *args: helper.append(threading.current_thread()) or real_evaluate(*args))
+    run_experiment(replace(BASE, **workloads.WORKLOADS[workload]))
+    assert callers and set(callers) == {threading.main_thread()}
+    assert helper and threading.main_thread() not in helper

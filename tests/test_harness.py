@@ -1,5 +1,9 @@
 import itertools
+import os
+import sys
+import threading
 import weakref
+from contextlib import nullcontext
 from dataclasses import fields, replace
 
 import numpy as np
@@ -23,6 +27,26 @@ from test_data import traced_peak, write_idx_pair
 from test_golden import ATTACKS, BASE
 
 OPTIONAL_FIELDS = [f.name for f in fields(ExperimentConfig) if "None" in f.type]
+
+
+def set_overlap(monkeypatch, overlap: bool) -> None:
+    """Force every trial to evaluate on its helper thread (True) or inline (False), whatever its size."""
+    monkeypatch.setattr(harness, "OVERLAP_MIN_VALUES", 0 if overlap else float("inf"))
+
+
+def nan_for_device_6(monkeypatch) -> None:
+    """Make device 6's local model of iteration 1 hold a NaN, on the 10-device federation."""
+    real_update = harness.local_update
+    calls = []
+
+    def update(objective, weights, *args):
+        calls.append(1)
+        out = real_update(objective, weights, *args)
+        if len(calls) == 10 + 7:  # iteration 1, the seventh of 10 devices
+            out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(harness, "local_update", update)
 
 
 class TestValidateModelCounts:
@@ -282,6 +306,15 @@ class TestIterationLifetime:
 
     @pytest.mark.parametrize("rule, attack_site", [("krum", "attack_krum"), ("trimmed_mean", "attack_trimmed_mean")])
     def test_no_report_or_crafted_array_outlives_its_iteration(self, monkeypatch, rule, attack_site):
+        self.check(monkeypatch, rule, attack_site)
+
+    @pytest.mark.parametrize("rule, attack_site", [("krum", "attack_krum"), ("trimmed_mean", "attack_trimmed_mean")])
+    def test_the_same_holds_with_the_evaluation_on_the_helper_thread(self, monkeypatch, rule, attack_site):
+        set_overlap(monkeypatch, True)
+        self.check(monkeypatch, rule, attack_site)
+
+    @staticmethod
+    def check(monkeypatch, rule, attack_site):
         # the Krum attack finds a solution on every iteration of this config
         config = replace(BASE, num_devices=20, compromised=4, synth_features=50, rule=rule, attack="craft", defense="err")
         real_attack, real_aggregate = getattr(harness, attack_site), harness.aggregate
@@ -356,17 +389,7 @@ class TestNonFiniteModels:
         assert reports == []
 
     def test_a_nan_local_model_is_named(self, monkeypatch):
-        real_update = harness.local_update
-
-        def nan_for_device_6(objective, weights, *args):
-            calls.append(1)
-            out = real_update(objective, weights, *args)
-            if len(calls) == 10 + 7:  # iteration 1, the seventh of 10 devices
-                out[3] = np.nan
-            return out
-
-        calls = []
-        monkeypatch.setattr(harness, "local_update", nan_for_device_6)
+        nan_for_device_6(monkeypatch)
         with pytest.raises(ConfigError, match=r"iteration 1: the local models of devices \[6\] hold NaN or Inf"):
             run_experiment(replace(BASE, rule="krum"))
 
@@ -442,3 +465,107 @@ class TestOneDistanceMatrixPerIteration:
         assert [site for site, _, _ in seen] == ["defense", "final"] * config.iterations
         for _, models, sq_dists in seen:
             assert np.array_equal(sq_dists, pairwise_sq_dists(models))
+
+
+OVERLAP_CASES = {
+    "mean": dict(rule="mean"),
+    "krum-craft-union": dict(rule="krum", attack="craft", knowledge="full", defense="union"),
+    "trmean-craft-err": dict(rule="trimmed_mean", attack="craft", knowledge="full", defense="err"),
+}
+
+
+class TestOverlappedEvaluation:
+    """Evaluating iteration t on the helper thread while iteration t+1's local models train changes
+    no byte and no error, and leaves no thread behind."""
+
+    @pytest.mark.parametrize("model", ["lr", "mlp"])
+    @pytest.mark.parametrize("case", sorted(OVERLAP_CASES))
+    def test_both_evaluation_paths_write_the_same_bytes(self, monkeypatch, case, model):
+        # 6 of the 10 devices a round, so every round's sample is drawn by the round before;
+        # c = 1 leaves the defenses enough survivors to aggregate
+        config = replace(BASE, devices_per_round=6, assumed_compromised=1, trials=2, model=model, hidden=4,
+                         **OVERLAP_CASES[case])
+        real_evaluate = harness._evaluate
+        runs = {}
+        switch_interval = sys.getswitchinterval()
+        for overlap in (False, True):
+            set_overlap(monkeypatch, overlap)
+            reports, helper_threads = [], []
+            monkeypatch.setattr(harness, "_evaluate", lambda *args, threads=helper_threads: (
+                threads.append(threading.current_thread()) or real_evaluate(*args)))
+            sys.setswitchinterval(1e-6)  # the two threads trade the interpreter as often as they can
+            try:
+                result = run_experiment(config, on_iteration=reports.append)
+            finally:
+                sys.setswitchinterval(switch_interval)
+            runs[overlap] = [metrics_csv_lines(trial.records) for trial in result.trial_results], reports
+            # three evaluations an iteration on the helper, but for each trial's last, which runs inline
+            assert len(helper_threads) == (3 * 2 * (config.iterations - 1) if overlap else 0)
+            assert threading.main_thread() not in helper_threads
+        (inline_csv, inline_reports), (overlap_csv, overlap_reports) = runs[False], runs[True]
+        assert overlap_csv == inline_csv
+        assert len(overlap_reports) == len(inline_reports) == 2 * config.iterations
+        for inline, overlapped in zip(inline_reports, overlap_reports):
+            assert np.array_equal(overlapped.sampled, inline.sampled)
+            assert np.array_equal(overlapped.models, inline.models)
+            assert np.array_equal(overlapped.new_global, inline.new_global)
+            if inline.defense is None:
+                assert overlapped.defense is None
+            else:
+                assert np.array_equal(overlapped.defense.removed, inline.defense.removed)
+
+    def test_the_helper_keeps_off_the_main_threads_cpu(self, monkeypatch):
+        set_overlap(monkeypatch, True)
+        allowed, real_evaluate = os.sched_getaffinity(0), harness._evaluate
+        helper_cpus = []
+        monkeypatch.setattr(harness, "_evaluate",
+                            lambda *args: helper_cpus.append(os.sched_getaffinity(0)) or real_evaluate(*args))
+        run_experiment(BASE)
+        assert helper_cpus and all(cpus == helper_cpus[0] for cpus in helper_cpus)
+        # one CPU fewer than the process may use: the one the main thread ran on when the trial started
+        if len(allowed) > 1:
+            assert helper_cpus[0] < allowed
+        else:
+            assert helper_cpus[0] == allowed
+        assert os.sched_getaffinity(0) == allowed  # the main thread stays unpinned
+
+    def test_a_nan_local_model_is_still_named_by_its_own_iteration(self, monkeypatch):
+        # iteration 0 trains iteration 1's local models; iteration 1 checks them, after hook 0
+        set_overlap(monkeypatch, True)
+        nan_for_device_6(monkeypatch)
+        hooked = []
+        with pytest.raises(ConfigError, match=r"iteration 1: the local models of devices \[6\] hold NaN or Inf"):
+            run_experiment(replace(BASE, rule="krum"), on_iteration=lambda report: hooked.append(report.iteration))
+        assert hooked == [0]
+
+    @pytest.mark.parametrize("ending", ["normal", "config_error", "hook_raises", "stopped_at_iteration_2"])
+    def test_no_thread_outlives_a_trial(self, monkeypatch, ending):
+        class Stop(Exception):
+            pass
+
+        set_overlap(monkeypatch, True)
+        start = threading.active_count()
+        alive = []
+
+        def hook(report):
+            alive.append(threading.active_count())
+            if ending == "hook_raises" and report.iteration == 1:
+                raise Stop
+
+        if ending == "config_error":
+            nan_for_device_6(monkeypatch)
+        if ending == "stopped_at_iteration_2":
+            # perfbench's measurement loop stops an experiment this way, at an iteration's entry
+            real_iteration = harness.run_iteration
+
+            def stopping(state, config, iteration):
+                if iteration == 2:
+                    raise Stop
+                return real_iteration(state, config, iteration)
+
+            monkeypatch.setattr(harness, "run_iteration", stopping)
+        raised = {"normal": None, "config_error": ConfigError}.get(ending, Stop)
+        with pytest.raises(raised) if raised else nullcontext():
+            run_experiment(replace(BASE, rule="krum", trials=2), on_iteration=hook)
+        assert alive and set(alive) == {start + 1}  # the helper ran beside every hook
+        assert threading.active_count() == start
