@@ -2,21 +2,28 @@
 
 All rules are pure functions over an (m, d) matrix of local models, one row
 per device, returning a single d-vector.  Selection ties always break to the
-lowest device index so attack searches stay reproducible.  Each input matrix
-is scanned (shape and finiteness) once per public call: by the first function
-that needs it, and by no flrlab function that function calls.  Two checks
-read values computed anyway in place of that scan, as a row holding NaN or
-Inf makes them non-finite: the rows' squared norms (:func:`row_sq_norms`),
-which a caller that has them passes to :func:`pairwise_sq_dists`, and the
-result of :func:`mean`.
+lowest device index so attack searches stay reproducible.  Every rule
+decision is made here: :func:`aggregate` is the one dispatcher,
+``DISTANCE_RULES`` names the rules that read a distance matrix,
+:func:`window_trim` gives the window rules' per-side trim, and
+:func:`krum_select` is the one Krum kernel.
 
-Every Krum matrix of a federated iteration is the one the harness builds:
-with :func:`blockwise_sq_dists` under a full-knowledge attack on Krum (the
-benign block once, the compromised rows before and after crafting), else in
-one build after the attack.  The direction's Krum, the defense and the final
-Krum or Bulyan (the survivors' block) read it.  Only the benign block, the
-attack's candidates' matrix, reaches the metrics (through the crafted
-shift), and it equals a build of those rows alone bit for bit.
+**Checks.**  Each input matrix is checked once per public call, by the first
+function that needs it; internal kernels take checked arrays.  Where a rule
+computes values that a NaN or Inf would make non-finite, the check reads
+those instead of scanning the matrix: the rows' squared norms
+(:func:`row_sq_norms`, passed to :func:`pairwise_sq_dists` by a caller that
+has them), the mean's result, and the ends of the window rules' sorted
+columns (:func:`sort_checked`).
+
+**One distance matrix.**  A federated iteration builds one, in the harness:
+with :func:`blockwise_sq_dists` when a full-knowledge attack targets a rule
+in ``DISTANCE_RULES`` (the benign block once, the compromised rows again
+after crafting), else after the attack when the rule is in it.  The
+direction's Krum, the attack, the defense and the final Krum or Bulyan (over
+the survivors' block) read it.  Only the benign block, the attack's
+candidates' matrix, reaches the metrics (through the crafted shift), and it
+equals a build of those rows alone bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ import numpy as np
 from flrlab.core import as_model_matrix
 
 RULES = ("mean", "krum", "trimmed_mean", "median", "bulyan")
+# the rules that read a pairwise distance matrix; the others are window rules over sorted columns
+DISTANCE_RULES = ("krum", "bulyan")
 
 # Above this m*m*d workload the pairwise kernel switches from the exact
 # elementwise path to a BLAS Gram-matrix formulation.
@@ -146,72 +155,64 @@ def neighbor_score_sums(sq_dists: np.ndarray, neighbor_count: int) -> np.ndarray
 
 def krum_select(sq_dists: np.ndarray, rows, assumed_compromised: int) -> int:
     """The row among ``rows`` with the smallest Krum score computed within
-    ``rows``; ties go to the earliest position in ``rows``.
-
-    It is one round of :func:`bulyan_within`, and :func:`aggregate`'s Krum
-    over a row subset such as a defense's survivors.  Each round scores a
-    different row set, so the rounds share no sort, and its tie order is
-    tested on its own.
-    """
+    ``rows``; ties go to the earliest position in ``rows``.  :func:`krum` runs
+    it over every row, :func:`aggregate` over a defense's survivors, and
+    :func:`bulyan_within` once per round."""
     neighbors = max(0, len(rows) - assumed_compromised - 2)
     scores = neighbor_score_sums(sq_dists[np.ix_(rows, rows)], neighbors)
     return int(rows[int(np.argmin(scores))])
 
 
-def _gathered(models, rows) -> np.ndarray:
-    """The rows ``rows`` of ``models`` (every row when None), checked, in a new array its caller may sort in place."""
-    arr = as_model_matrix(models)
-    return arr.copy() if rows is None else arr[rows]
-
-
-def mean(models, rows=None) -> np.ndarray:
-    """Coordinate-wise mean of the rows ``rows`` of ``models`` (every row when None).
-
-    A NaN or Inf in the rows makes their mean non-finite, so the mean is
-    checked in place of a scan of the rows.
-    """
-    arr = as_model_matrix(models, finite=False)
-    out = (arr if rows is None else arr[rows]).mean(axis=0)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("model set contains NaN or Inf, or its mean overflows")
-    return out
-
-
-def krum_scores(models, assumed_compromised: int, sq_dists: np.ndarray | None = None) -> np.ndarray:
-    """Sum of squared distances from each model to its m-c-2 nearest peers.
+def krum(models, assumed_compromised: int, sq_dists: np.ndarray | None = None) -> tuple[int, np.ndarray]:
+    """Select the local model with the smallest Krum score (lowest index on ties).
 
     ``sq_dists`` is the models' distance matrix, when the caller has built it.
     """
     sq = pairwise_sq_dists(models) if sq_dists is None else sq_dists
     AggregatorSpec("krum", assumed_compromised=assumed_compromised).validate(len(sq))
-    return neighbor_score_sums(sq, len(sq) - assumed_compromised - 2)
-
-
-def krum(models, assumed_compromised: int, sq_dists: np.ndarray | None = None) -> tuple[int, np.ndarray]:
-    """Select the local model with the smallest Krum score (lowest index on ties)."""
-    chosen = int(np.argmin(krum_scores(models, assumed_compromised, sq_dists)))
+    chosen = krum_select(sq, range(len(sq)), assumed_compromised)
     return chosen, np.array(models[chosen], dtype=np.float64)
 
 
-def _window_mean(arr: np.ndarray, trim_count: int) -> np.ndarray:
-    """Per column: sort ``arr`` in place, drop ``trim_count`` values at each end, average the rest."""
+def window_trim(spec: AggregatorSpec, num_models: int) -> int:
+    """Values a window rule drops at each end of a sorted column of ``num_models``:
+    0 for the mean, beta for trimmed mean, and (m-1)//2 for the median, which
+    keeps the middle value (odd m) or two (even m)."""
+    if spec.rule == "mean":
+        return 0
+    return spec.trim_count if spec.rule == "trimmed_mean" else (num_models - 1) // 2
+
+
+def sort_checked(arr: np.ndarray) -> np.ndarray:
+    """Sort each column of ``arr`` in place and return it; ValueError if a value is NaN or Inf.
+
+    NaN and +Inf sort to a column's end and -Inf to its start, so the first
+    and last rows stand in for a scan of every row.
+    """
     arr.sort(axis=0)
-    return arr[trim_count : arr.shape[0] - trim_count].mean(axis=0)
+    if not (np.all(np.isfinite(arr[0])) and np.all(np.isfinite(arr[-1]))):
+        raise ValueError("model set contains NaN or Inf")
+    return arr
 
 
-def trimmed_mean(models, trim_count: int, rows=None) -> np.ndarray:
-    """Per coordinate of the rows ``rows`` (every row when None): drop the trim_count largest and smallest
-    values, average the rest.  The rows are gathered once and sorted in place."""
-    arr = _gathered(models, rows)
-    AggregatorSpec("trimmed_mean", trim_count=trim_count).validate(arr.shape[0])
-    return _window_mean(arr, trim_count)
+def _window_mean(ordered: np.ndarray, trim_count: int) -> np.ndarray:
+    """Per column of the column-sorted ``ordered``: drop ``trim_count`` values at each end, average the rest."""
+    return ordered[trim_count : ordered.shape[0] - trim_count].mean(axis=0)
 
 
-def median(models, rows=None) -> np.ndarray:
-    """Coordinate-wise median of the rows ``rows`` (every row when None): the trimmed mean that keeps
-    the middle value (odd m) or two (even m)."""
-    arr = _gathered(models, rows)
-    return _window_mean(arr, (arr.shape[0] - 1) // 2)
+def mean(models) -> np.ndarray:
+    """Coordinate-wise mean."""
+    return aggregate(AggregatorSpec("mean"), models)
+
+
+def trimmed_mean(models, trim_count: int) -> np.ndarray:
+    """Per coordinate: drop the trim_count largest and smallest values, average the rest."""
+    return aggregate(AggregatorSpec("trimmed_mean", trim_count=trim_count), models)
+
+
+def median(models) -> np.ndarray:
+    """Coordinate-wise median: the mean of the middle value (odd m) or two (even m)."""
+    return aggregate(AggregatorSpec("median"), models)
 
 
 def bulyan(models, assumed_compromised: int, selection_count: int, average_count: int) -> np.ndarray:
@@ -236,10 +237,10 @@ def bulyan_within(
     """Bulyan on ``models[rows]``, with distances read from ``sq_dists``, the
     matrix of all of ``models``; the counts are not checked here.
 
-    As in :func:`krum_select`, each of the theta Krum rounds scores within the
-    rows that remain.  Distance-to-median ties keep selection order (stable
-    sort), and the inner Krum's neighbour count clips at zero once few models
-    remain.
+    Each of the theta Krum rounds scores within the rows that remain
+    (:func:`krum_select`).  Distance-to-median ties keep selection order
+    (stable sort), and the inner Krum's neighbour count clips at zero once few
+    models remain.
     """
     c, theta, gamma = assumed_compromised, selection_count, average_count
     remaining, selected = list(rows), []
@@ -248,7 +249,7 @@ def bulyan_within(
         remaining.remove(selected[-1])
 
     chosen = models[selected]
-    med = _window_mean(chosen.copy(), (theta - 1) // 2)
+    med = _window_mean(np.sort(chosen, axis=0), window_trim(AggregatorSpec("median"), theta))
     dist_to_med = np.abs(chosen - med)
     order = np.argsort(dist_to_med, axis=0, kind="stable")[:gamma]
     closest = np.take_along_axis(chosen, order, axis=0)
@@ -256,24 +257,28 @@ def bulyan_within(
 
 
 def aggregate(spec: AggregatorSpec, models, rows=None, sq_dists: np.ndarray | None = None) -> np.ndarray:
-    """Run the configured rule on the rows ``rows`` of ``models`` (every row when None); each rule
-    validates the models and its parameters.
+    """Run the configured rule on the rows ``rows`` of ``models`` (every row when None).
 
     Krum and Bulyan select within those rows of ``sq_dists``, the distance
     matrix of all of ``models``, when the caller has built it (and so checked
-    the models), and build it here otherwise.  The other rules gather the rows
-    once, and the coordinate-wise ones sort that array in place.
+    the models), and build it here otherwise.  The mean checks its result and
+    the other window rules their sorted columns' ends (module docstring).
     """
+    if spec.rule in DISTANCE_RULES:
+        arr, c = np.asarray(models, dtype=np.float64), spec.assumed_compromised
+        sq = pairwise_sq_dists(arr) if sq_dists is None else sq_dists
+        keep = range(len(arr)) if rows is None else rows
+        spec.validate(len(keep))
+        if spec.rule == "krum":
+            return arr[krum_select(sq, keep, c)].copy()
+        return bulyan_within(arr, sq, keep, c, *bulyan_counts(len(keep), c))
+    arr = as_model_matrix(models, finite=False)
+    picked = arr if rows is None else arr[rows]  # a row index gathers a new array
+    spec.validate(len(picked))
     if spec.rule == "mean":
-        return mean(models, rows)
-    if spec.rule == "trimmed_mean":
-        return trimmed_mean(models, spec.trim_count, rows)
-    if spec.rule == "median":
-        return median(models, rows)
-    arr, c = np.asarray(models, dtype=np.float64), spec.assumed_compromised
-    sq = pairwise_sq_dists(arr) if sq_dists is None else sq_dists
-    keep = range(len(arr)) if rows is None else rows
-    spec.validate(len(keep))
-    if spec.rule == "krum":
-        return arr[krum_select(sq, keep, c)].copy()
-    return bulyan_within(arr, sq, keep, c, *bulyan_counts(len(keep), c))
+        out = picked.mean(axis=0)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("model set contains NaN or Inf, or its mean overflows")
+        return out
+    ordered = sort_checked(picked.copy() if rows is None else picked)
+    return _window_mean(ordered, window_trim(spec, len(ordered)))

@@ -4,22 +4,13 @@ The crafted-model attacks push the aggregated global model against the
 direction s it would move without an attack, which :func:`estimate_direction`
 derives from the aggregate :func:`expected_aggregate` expects.  Against Krum
 the crafted model sits at ``w_received - shift * s`` with the largest shift
-that Krum still selects (binary search under a provable upper bound).  The
-search reads one distance matrix of the candidate models per attack; each
-step only fills the crafted rows from scalars, so no step touches a model
-vector.  Against trimmed mean and median the compromised coordinates are
-sampled just beyond the benign extremes (full knowledge) or 3-4 standard
-deviations from the compromised mean (partial knowledge).  Gaussian and label
-flipping are baselines.
-
-Where the Krum attack's matrices come from: in a full-knowledge federated
-iteration the harness passes the distance matrix of all the models in scope
-(:func:`flrlab.aggregation.blockwise_sq_dists`).  The direction's Krum reads
-all of it, and the candidates' matrix is its benign block, equal bit for bit
-to a build of those rows alone.  That block is the only Krum matrix whose
-bits reach the metrics, through the shift bound and so the crafted shift.
-Called without a matrix, as in partial knowledge, the attack builds the
-candidates' matrix itself.
+that Krum still selects (binary search under a provable upper bound).
+Against trimmed mean and median the compromised coordinates are sampled just
+beyond the benign extremes (full knowledge) or 3-4 standard deviations from
+the compromised mean (partial knowledge).  Gaussian and label flipping are
+baselines.  In a full-knowledge federated iteration the Krum attack reads the
+harness's one distance matrix (see :mod:`flrlab.aggregation`); called without
+one, it builds the candidates' matrix itself.
 """
 
 from __future__ import annotations
@@ -28,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flrlab.aggregation import RULES, AggregatorSpec, aggregate, krum, neighbor_score_sums, pairwise_sq_dists
+from flrlab.aggregation import (DISTANCE_RULES, RULES, AggregatorSpec, aggregate, krum, neighbor_score_sums,
+                                pairwise_sq_dists)
 from flrlab.core import as_model_matrix, as_vector, signed_direction
 from flrlab.data import Dataset
 
 KNOWLEDGE_MODES = ("full", "partial")
 OBJECTIVES = ("directed_deviation", "deviation")
-# targets crafted against with attack_krum; every other rule is coordinate-wise (attack_trimmed_mean)
-KRUM_TARGETS = ("krum", "bulyan")
 # the ball the c-1 supporting Krum models are sampled in
 SUPPORT_RADIUS = 0.01
 # how far the trimmed-mean/median sampling interval stretches past the benign extremes
@@ -103,7 +93,7 @@ def expected_aggregate(models, target_rule: str, c: int, sq_dists: np.ndarray | 
     """What the attacker expects ``target_rule`` to make of ``models``: Krum's pick for Krum and
     Bulyan (from ``sq_dists``, the models' distance matrix, when given), else the rule itself
     trimming c per side (as many as the attacker controls)."""
-    if target_rule in KRUM_TARGETS:
+    if target_rule in DISTANCE_RULES:
         return krum(models, c, sq_dists)[1]
     return aggregate(AggregatorSpec(target_rule, trim_count=c), models)
 
@@ -218,14 +208,11 @@ def attack_krum(
     restarts, up to c replicas.  A copy count whose shift bound is undefined
     (candidates - copies - 1 <= 0) is skipped; with none left there is no
     solution.  The emitted set is the crafted model plus c-1 samples inside
-    the support-radius ball around it.
-
-    ``sq_dists`` is the distance matrix of ``scope.models``, when the caller
-    has built it; the candidates' matrix is then its block of the candidate
-    rows, which must equal a build of those rows alone for the shift to be
-    the same.  Without it the attack builds the matrices it reads.
+    the support-radius ball around it.  ``sq_dists`` is the distance matrix of
+    ``scope.models``, when the caller has built it; the candidates' matrix is
+    its benign block (see :mod:`flrlab.aggregation`).
     """
-    if spec.target_rule not in KRUM_TARGETS:
+    if spec.target_rule not in DISTANCE_RULES:
         raise ValueError("attack_krum targets the krum or bulyan rule")
     c = compromised_count
     _check_scope(scope, c)
@@ -277,7 +264,7 @@ def attack_trimmed_mean(
     objective the side is chosen per coordinate by whichever interval
     midpoint displaces the simulated aggregate further.
     """
-    if spec.target_rule in KRUM_TARGETS:
+    if spec.target_rule in DISTANCE_RULES:
         raise ValueError("attack_trimmed_mean targets a coordinate-wise rule")
     c = compromised_count
     _check_scope(scope, c)

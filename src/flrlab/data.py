@@ -179,16 +179,6 @@ def _map_labels(raw_labels: list[str], path: Path) -> np.ndarray:
     return np.asarray([mapping[v] for v in raw_labels], dtype=np.int64)
 
 
-def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write a Dataset to CSV with full-precision floats (round-trips with load_csv)."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dataset.num_features)] + [label_column])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
 def blob_means(num_classes: int, num_features: int) -> np.ndarray:
     """Deterministic distinct cluster centers used by synth_blobs."""
     means = np.zeros((num_classes, num_features))

@@ -8,19 +8,11 @@ are leave-one-out: aggregate with and without each model and compare on a
 small validation set held by the master.  The defenses never see which
 devices are actually compromised.
 
-The m leave-one-out aggregates never rerun the rule m times.  Mean,
-trimmed mean and median sort each column once and subtract one clipped
-value per model from the sum of one window.  Krum sorts each row of one
-pairwise distance matrix once and takes every subset's scores from its
-prefix sums; Bulyan selects within rows of that matrix, with the theta and
-gamma of each subset's m-1 models.  All m+1 aggregates are then scored in
-one stacked forward pass over the validation set; Krum's, which pick among
-a few distinct models, score only those.
-
-In a federated iteration that distance matrix is the harness's one matrix of
-the after-attack models (see :mod:`flrlab.aggregation`), passed in as
-``sq_dists``; only its picks reach the metrics, through the removed devices.
-The outcome keeps the survivors as a row index into the model matrix.
+The m leave-one-out aggregates never rerun the rule m times: they come from
+one column sort or one distance matrix (:func:`_loo_aggregates`; in a
+federated iteration the harness's one matrix, see :mod:`flrlab.aggregation`),
+and are scored in one stacked forward pass over the validation set.  The
+outcome keeps the survivors as a row index into the model matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # aggregate, error_rate and loss go unused here: perfbench/tracer.py patches them as defenses call sites
-from flrlab.aggregation import AggregatorSpec, aggregate, bulyan_counts, bulyan_within, pairwise_sq_dists
+from flrlab.aggregation import (DISTANCE_RULES, AggregatorSpec, aggregate, bulyan_counts, bulyan_within,
+                                pairwise_sq_dists, sort_checked, window_trim)
 from flrlab.core import as_model_matrix
 from flrlab.data import Dataset
 from flrlab.models import ModelSpec, error_and_loss, error_rate, loss, shard_objective
@@ -68,9 +61,9 @@ def _loo_aggregates(
     picks fall on a few models; every other rule returns m+1 rows in order.
 
     Mean, trimmed mean and median average a window of each sorted column,
-    trimming beta values per side of the m-1 kept ones: 0, ``trim_count`` and
-    (m-2)//2.  Per column, with the m values sorted as s_0 <= ... <= s_{m-1},
-    removing value v leaves one of three windows:
+    trimming beta = :func:`~flrlab.aggregation.window_trim` values per side
+    of the m-1 kept ones.  Per column, with the m values sorted as
+    s_0 <= ... <= s_{m-1}, removing value v leaves one of three windows:
 
     - ``[beta+1, m-beta)`` where v <= s_{beta-1}: ``[beta, m-beta)`` without s_beta;
     - ``[beta, m-1-beta)`` where v >= s_{m-1-beta}: ``[beta, m-beta)`` without s_{m-1-beta};
@@ -98,22 +91,20 @@ def _loo_aggregates(
     """
     m, c = models.shape[0], agg_spec.assumed_compromised
     agg_spec.validate(m - 1)
-    if agg_spec.rule in ("mean", "trimmed_mean", "median"):
-        arr = as_model_matrix(models)
-        trim = {"mean": 0, "trimmed_mean": agg_spec.trim_count}
+    if agg_spec.rule not in DISTANCE_RULES:
         # per-side trims of all m models and of each m-1; only the median's differ
-        t, beta = trim.get(agg_spec.rule, (m - 1) // 2), trim.get(agg_spec.rule, (m - 2) // 2)
-        out = np.empty((m + 1, arr.shape[1]))
+        t, beta = window_trim(agg_spec, m), window_trim(agg_spec, m - 1)
+        out = np.empty((m + 1, models.shape[1]))
         ordered = out[1:]  # holds the column sort, then the leave-one-out aggregates: no second (m, d) array
-        ordered[:] = arr
-        ordered.sort(axis=0)
+        ordered[:] = models
+        sort_checked(ordered)
         window = ordered[beta : m - beta].sum(axis=0)
         low, high = ordered[beta].copy(), ordered[m - 1 - beta].copy()
         if agg_spec.rule == "mean":
-            out[0] = arr.mean(axis=0)  # a sum over sorted columns would round differently
+            out[0] = models.mean(axis=0)  # a sum over sorted columns would round differently
         else:
             out[0] = (window if t == beta else ordered[t : m - t].sum(axis=0)) / (m - 2 * t)
-        np.clip(arr, low, high, out=ordered)
+        np.clip(models, low, high, out=ordered)
         np.subtract(window, ordered, out=ordered)
         ordered /= m - 1 - 2 * beta
         return out, np.arange(m + 1)
@@ -144,10 +135,10 @@ def impact_scores(
     """(m, 2) leave-one-out impacts on the validation set: row i holds how much
     model i raises the aggregate's error rate (column 0) and loss (column 1).
     Krum and Bulyan read ``sq_dists``, the models' distance matrix, when given."""
-    arr = np.asarray(models, dtype=np.float64)
+    arr = as_model_matrix(models, finite=False)
     if len(arr) < 2:
         raise ValueError("leave-one-out impacts need at least two models")
-    aggregates, index = _loo_aggregates(arr, agg_spec, sq_dists)  # checks the matrix or builds it
+    aggregates, index = _loo_aggregates(arr, agg_spec, sq_dists)  # checks the values or builds the matrix
     scores = error_and_loss(shard_objective(model_spec, validation), aggregates)[index]  # checks the aggregates
     return scores[0] - scores[1:]
 

@@ -10,30 +10,39 @@ and keeps attack randomness isolated from training randomness.
 
 The harness checks each model matrix once, where it enters (the local models
 after the updates, the crafted rows after the attack), by the rows' squared
-norms, which the iteration's one Krum distance matrix then reuses.
+norms, which the iteration's one Krum distance matrix then reuses (see
+:mod:`flrlab.aggregation`).
 
 The metrics (train loss, test error, validation error) are output only: no
 model, Krum pick, removal set or attack shift reads them, so the product
 form their evaluation takes (see :mod:`flrlab.models`) can move reported
 digits and nothing else.
 
-Since nothing waits on the metrics, iteration t evaluates its global model
-on a helper thread while the main thread samples and trains iteration t+1's
-local models; iteration t+1 checks those models where it starts, as if it
-had trained them itself.  The two overlap because the evaluation is mostly
-BLAS products, which release the GIL, while local SGD is mostly interpreter
-work on small arrays.  Every byte stays the same: the helper reads only the
-new global model and the datasets, which nothing writes meanwhile.
+**The overlapped evaluation.**  Since nothing waits on the metrics, iteration
+t evaluates its global model on a helper thread while the main thread samples
+and trains iteration t+1's local models into ``TrialState.next_round``;
+iteration t+1 checks those models where it starts, so a non-finite one stops
+the iteration that owns it, after hook t.  The two overlap because the
+evaluation is mostly BLAS products, which release the GIL, while local SGD is
+mostly interpreter work on small arrays.  Every byte stays the same: the
+helper reads only the new global model and the datasets, which nothing writes
+meanwhile.  :func:`run_trial` owns the helper, a one-thread executor, and
+joins it when the trial ends by return or by any exception, so no thread
+outlives a trial.
 
 - **The gate.**  Only an evaluation that reads at least
-  ``OVERLAP_MIN_VALUES`` (2^20) feature values goes to the helper; a smaller
-  one runs inline through :func:`loss` and :func:`error_rate`.  That is the
-  measured crossover: the two paths run even from 0.6M to 1.2M values, the
-  overlap wins from 2.3M, and below 0.4M its hand-off costs more than it
-  hides, up to 53% of a tiny iteration.
+  ``OVERLAP_MIN_VALUES`` (2^20) feature values, (train + test + validation
+  rows) x features, goes to the helper; a smaller one runs inline through
+  :func:`loss` and :func:`error_rate`, as does each trial's last iteration,
+  which has no next round to overlap.  That is the measured crossover (784
+  features, 1 BLAS thread, 2 vCPUs): the two paths run even from 0.6M to 1.2M
+  values, the overlap wins from 2.3M (the benchmark workloads read 5.6M), and
+  below 0.4M its hand-off costs more than it hides, up to 53% of a tiny
+  iteration (the golden grid reads at most 8000).
 - **The CPU.**  The helper keeps off the CPU the main thread ran on when the
-  trial started; left to the scheduler it woke on the main thread's CPU and
-  the two took turns, which gave no gain on 2 vCPUs.
+  trial started.  Linux wakes a thread on its waker's CPU when it can: left
+  to the scheduler, the helper shared the main thread's CPU in 40 of 40
+  sampled evaluations on 2 vCPUs, and the two took turns, which gave no gain.
 - **The tracer.**  The helper runs :func:`flrlab.models._evaluate`, which
   calls nothing that perfbench/tracer.py patches.  The tracer keeps one span
   stack per process, and a traced call on a second thread would interleave
@@ -57,6 +66,7 @@ import numpy as np
 
 # mean, median and trimmed_mean go unused here: perfbench/tracer.py patches them as attacks.direction call sites
 from flrlab.aggregation import (
+    DISTANCE_RULES,
     RULES,
     AggregatorSpec,
     aggregate,
@@ -68,7 +78,6 @@ from flrlab.aggregation import (
 )
 from flrlab.attacks import (
     KNOWLEDGE_MODES,
-    KRUM_TARGETS,
     AttackSpec,
     KnowledgeScope,
     attack_gaussian,
@@ -102,11 +111,7 @@ CHOICES = {
 }
 
 
-# Evaluation moves to the helper thread once it reads this many feature values,
-# (train + test + validation rows) x features.  Measured on 784-feature data at
-# 1 BLAS thread on 2 vCPUs, per iteration, overlapped against inline: 17-53%
-# slower up to 0.37M values, even (within 10%) at 0.6-1.2M, 11-29% faster from
-# 2.3M values (the benchmark workloads read 5.6M; the golden grid at most 8000).
+# the overlapped evaluation's gate (module docstring)
 OVERLAP_MIN_VALUES = 1 << 20
 
 
@@ -212,7 +217,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"bad attack parameters: {exc}") from exc
         if self.attack == "craft":
-            coordinate_wise = attack.target_rule not in KRUM_TARGETS
+            coordinate_wise = attack.target_rule not in DISTANCE_RULES
             if self.knowledge == "partial" and attack.objective == "deviation" and coordinate_wise:
                 raise ConfigError("the deviation objective is defined for full knowledge only")
             # full knowledge needs a benign model in every sample; a trimmed-mean target trims p per side
@@ -269,8 +274,7 @@ class IterationReport:
 
     The harness drops its reference to a report once the ``on_iteration`` hook
     has returned, so the report's arrays are freed before the next iteration
-    aggregates, unless the hook keeps the report.  The next iteration's local
-    models are already trained by then, beside them.
+    aggregates, unless the hook keeps the report.
     """
 
     iteration: int
@@ -284,14 +288,10 @@ class IterationReport:
 class TrialState:
     """What a trial's iterations share.
 
-    ``helper`` is the trial's one-thread executor.  It evaluates each global
-    model, through a scorer the benchmark's tracer does not patch, while the
-    main thread trains the next iteration's local models.  It is None when the
-    evaluation reads fewer than ``OVERLAP_MIN_VALUES`` feature values, below
-    the measured crossover; evaluation then runs inline, as it does on the
-    last iteration, which has no next round to overlap.  ``next_round`` holds the
-    next iteration's (sampled devices, local models), trained by the current
-    iteration and not yet checked; it is None until then.
+    ``helper`` and ``next_round`` serve the overlapped evaluation (module
+    docstring): the trial's one-thread executor, None below the gate, and the
+    next iteration's (sampled devices, local models), not yet checked, None
+    until the current iteration trains them.
     """
 
     model_spec: ModelSpec
@@ -329,7 +329,7 @@ def _craft_models(
     stay as they were.  ``sq_dists`` is the distance matrix of the models in scope, or None."""
     spec = config.attack_spec()
     scope = KnowledgeScope(config.knowledge, models if config.knowledge == "full" else models[:present], w_received)
-    if spec.target_rule in KRUM_TARGETS:
+    if spec.target_rule in DISTANCE_RULES:
         result = attack_krum(scope, spec, present, rng, sq_dists)
         if result.models is not None:
             models[:present] = result.models
@@ -359,8 +359,7 @@ def _local_models(
 
 
 def _helper_metrics(state: TrialState, new_global: np.ndarray) -> tuple[float, float, float]:
-    """:func:`_metrics` through :func:`flrlab.models._evaluate`, which calls nothing
-    perfbench/tracer.py patches, so the helper thread may run it."""
+    """:func:`_metrics` through :func:`flrlab.models._evaluate`, which the helper thread may run (module docstring)."""
     spec = state.model_spec
     return (
         float(_evaluate(shard_objective(spec, state.train), new_global)[1]),
@@ -385,23 +384,11 @@ def run_iteration(
     """One synchronized round: broadcast, local updates, attack, defense, aggregate, evaluate.
 
     The local models come from ``state.next_round`` when the previous
-    iteration trained them (iteration 0 trains its own), and are checked here,
-    so a non-finite one stops the iteration that owns it, after the previous
-    iteration's hook.  After aggregating, iteration t hands the evaluation of
-    its global model to ``state.helper``, trains iteration t+1's local models
-    into ``state.next_round`` meanwhile, then waits for the metrics.  It can,
-    because nothing reads the metrics; the helper calls nothing the
-    benchmark's tracer patches (module docstring).  A trial below the size
-    gate, ``OVERLAP_MIN_VALUES`` (set at the measured crossover, see its
-    comment), has no helper and evaluates inline after the training.  The
-    last iteration trains nothing ahead, so it evaluates inline too: waiting
-    on the helper would only add the hand-off.
-
-    A full-knowledge attack on Krum or Bulyan reads the distance matrix built
-    in two row groups, the compromised rows and the rest; after crafting only
-    the compromised rows are rebuilt.  Otherwise the matrix is built once,
-    after the attack, and only when the rule is Krum or Bulyan.  The defense
-    and the final aggregate read it, the latter over the survivors' rows.
+    iteration trained them (iteration 0 trains its own); after aggregating,
+    the iteration trains the next one's while its metrics are evaluated (the
+    overlapped evaluation, module docstring).  The iteration's one distance
+    matrix is built as :mod:`flrlab.aggregation` describes, and only when the
+    rule or a full-knowledge attack's target reads it.
     """
     w_received = state.weights
     sampled, models = state.next_round or _local_models(state, config, iteration, w_received)
@@ -409,7 +396,7 @@ def run_iteration(
     present = int(np.sum(sampled < config.compromised))
     norms = _checked_norms(models, sampled, iteration, "local models")
 
-    krum_rule = config.rule in KRUM_TARGETS
+    krum_rule = config.rule in DISTANCE_RULES
     shift, sq_dists = None, None
     if present > 0 and config.attack in ("gaussian", "craft"):
         attack_rng = state.stream.child(f"iter{iteration}/attack").generator()
@@ -417,7 +404,7 @@ def run_iteration(
         if config.attack == "gaussian":
             models[:present] = attack_gaussian(models, present, attack_rng)
         else:
-            if config.knowledge == "full" and config.attack_spec().target_rule in KRUM_TARGETS:
+            if config.knowledge == "full" and config.attack_spec().target_rule in DISTANCE_RULES:
                 sq_dists = blockwise_sq_dists(models, present, norms)
             written, shift = _craft_models(config, models, present, w_received, attack_rng, sq_dists)
         if written:
@@ -522,13 +509,9 @@ def device_objectives(config: ExperimentConfig, model_spec: ModelSpec, train: Da
 
 
 def _off_this_cpu() -> Callable[[], None] | None:
-    """An initializer that keeps the helper thread off the CPU the calling (main) thread runs on now;
-    None where the platform cannot say which CPU that is or only one CPU is allowed.
-
-    Linux wakes a thread on its waker's CPU when it can: unpinned, the helper shared
-    the main thread's CPU in 40 of 40 sampled evaluations on a 2-vCPU host, where the
-    two take turns instead of overlapping.  The main thread itself is left unpinned.
-    """
+    """An initializer that keeps the helper thread off the CPU the calling (main) thread runs on now
+    (module docstring); None where the platform cannot say which CPU that is or only one CPU is allowed.
+    The main thread itself is left unpinned."""
     try:
         others = os.sched_getaffinity(0) - {ctypes.CDLL(None).sched_getcpu()}
     except (AttributeError, OSError, TypeError):  # not Linux, or no glibc
@@ -556,17 +539,8 @@ def run_trial(
     """Run one seeded trial of the full federated loop; ``shards`` holds each device's training indices.
 
     ``on_iteration`` receives each iteration's report; the harness keeps no
-    reference to a report after that hook returns.
-
-    When the evaluation reads at least ``OVERLAP_MIN_VALUES`` feature values
-    (the gate, set at the measured crossover), the trial owns one helper
-    thread that evaluates iteration t's global model while iteration t+1's
-    local models train (see :func:`run_iteration`), kept off the main thread's
-    CPU where the platform allows.  Nothing reads the metrics, so the overlap
-    changes no byte, and the helper calls nothing the benchmark's tracer
-    patches (module docstring).  The thread starts with the first
-    evaluation and is joined when the trial ends, by return or by any
-    exception, the hook's included, so no thread outlives a trial.
+    reference to a report after that hook returns.  Above the gate the trial
+    owns the overlapped evaluation's helper thread (module docstring).
     """
     stream = RngStream(config.seed, f"trial{trial_index}")
     model_spec = config.model_spec(train)

@@ -235,11 +235,8 @@ def error_rate(spec: ModelSpec, params, dataset: Dataset) -> float:
 
 def _evaluate(objective: Objective, params: np.ndarray) -> np.ndarray:
     """(error rate, mean cross-entropy) of one float64 parameter vector over the whole shard: the
-    scoring :func:`error_rate` and :func:`loss` do after checking ``params``.
-
-    It calls no function that perfbench/tracer.py patches, so the harness
-    may run it on a helper thread.
-    """
+    scoring :func:`error_rate` and :func:`loss` do after checking ``params``, and the harness's
+    helper thread runs (see :mod:`flrlab.harness`)."""
     return _scores(objective, params[None], _features_long_product)[0]
 
 

@@ -11,10 +11,10 @@ from flrlab.aggregation import (
     bulyan_counts,
     bulyan_within,
     krum,
-    krum_scores,
     krum_select,
     mean,
     median,
+    neighbor_score_sums,
     pairwise_sq_dists,
     row_sq_norms,
     trimmed_mean,
@@ -61,10 +61,16 @@ class TestMean:
             mean(np.array([[1e308, 0.0], [1e308, 1.0]]))
 
 
+def krum_scores(models, assumed_compromised):
+    """Each model's Krum score: the sum of its m-c-2 smallest squared distances to the others."""
+    return neighbor_score_sums(pairwise_sq_dists(models), len(models) - assumed_compromised - 2)
+
+
 class TestKrum:
     def test_identical_models_score_zero(self):
         models = np.tile(np.array([2.0, 3.0]), (5, 1))
         assert np.allclose(krum_scores(models, 1), 0.0)
+        assert oracle_krum_scores(models.tolist(), 1) == [0.0] * 5
 
     def test_frozen_oracle_instance(self):
         # Brute-force oracle output for [0, .1, .2, .3, 10], c=1 (2 neighbours).
@@ -85,6 +91,7 @@ class TestKrum:
         models = np.array([[0.0], [1.0], [3.0], [4.0], [100.0]])
         scores = krum_scores(models, 1)
         assert scores[1] == scores[2]
+        assert np.array_equal(scores, oracle_krum_scores(models.tolist(), 1))
         chosen, _ = krum(models, 1)
         assert chosen == 1
 
@@ -108,10 +115,13 @@ class TestKrum:
         direct = krum_scores(models, 1)
         permuted = krum_scores(models[perm], 1)
         assert np.allclose(direct[perm], permuted, atol=1e-12)
+        assert np.allclose(direct, oracle_krum_scores(models.tolist(), 1), rtol=0, atol=1e-12)
 
     def test_m_too_small(self):
-        with pytest.raises(ValueError):
-            krum_scores(np.zeros((4, 2)), 2)
+        with pytest.raises(ValueError, match="c\\+3"):
+            krum(np.zeros((4, 2)), 2)
+        with pytest.raises(ValueError, match="c\\+3"):
+            krum(np.zeros((4, 2)), 2, pairwise_sq_dists(np.zeros((4, 2))))
 
 
 class TestKrumSelect:

@@ -7,12 +7,14 @@ when someone runs ``perfbench/run.py``."""
 import importlib
 import importlib.util
 import json
+import pkgutil
 import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+import flrlab
 from flrlab import harness
 from flrlab.harness import ExperimentConfig, run_experiment
 
@@ -127,3 +129,25 @@ def test_no_traced_call_site_runs_off_the_main_thread(monkeypatch, workload):
     run_experiment(replace(BASE, **workloads.WORKLOADS[workload]))
     assert callers and set(callers) == {threading.main_thread()}
     assert helper and threading.main_thread() not in helper
+
+
+# Full finiteness scans of a model matrix per iteration: the three evaluations' checks, plus on the crafted
+# workloads the attacker's KnowledgeScope and the defense's stacked scoring; the window rules check the ends
+# of the columns they sort, and the Krum path reads the harness's checked norms.
+SCANS_PER_ITERATION = {"fedavg-clean": 3, "krum-craft-union": 5, "trmean-craft-err": 5}
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_full_matrix_scans_per_iteration(monkeypatch, workload):
+    scans = []
+    for info in pkgutil.iter_modules(flrlab.__path__):
+        module = importlib.import_module(f"flrlab.{info.name}")
+        if hasattr(module, "as_model_matrix"):
+            def counted(models, finite=True, original=module.as_model_matrix):
+                scans.append(finite)
+                return original(models, finite)
+
+            monkeypatch.setattr(module, "as_model_matrix", counted)
+    config = replace(BASE, **workloads.WORKLOADS[workload])
+    run_experiment(config)
+    assert sum(scans) == SCANS_PER_ITERATION[workload] * config.iterations

@@ -1,3 +1,4 @@
+import csv
 import struct
 import tracemalloc
 
@@ -16,9 +17,17 @@ from flrlab.data import (
     load_idx,
     partition_noniid,
     sample_batch,
-    save_csv,
     synth_blobs,
 )
+
+
+def save_csv(dataset: Dataset, path) -> None:
+    """Write a Dataset to CSV with full-precision floats and a ``label`` column (round-trips with load_csv)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(dataset.num_features)] + ["label"])
+        for row, label in zip(dataset.features, dataset.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
 def write_idx_pair(tmp_path, images, labels, prefix=""):

@@ -11,7 +11,7 @@ import pytest
 
 from flrlab import harness
 from flrlab.aggregation import RULES
-from flrlab.data import save_csv, synth_blobs
+from flrlab.data import synth_blobs
 from flrlab.defenses import DEFENSE_KINDS
 from flrlab.harness import (
     ConfigError,
@@ -23,7 +23,7 @@ from flrlab.harness import (
     run_experiment,
 )
 
-from test_data import traced_peak, write_idx_pair
+from test_data import save_csv, traced_peak, write_idx_pair
 from test_golden import ATTACKS, BASE
 
 OPTIONAL_FIELDS = [f.name for f in fields(ExperimentConfig) if "None" in f.type]

@@ -10,7 +10,6 @@ from flrlab.aggregation import (
     aggregate,
     bulyan,
     krum,
-    krum_scores,
     mean,
     median,
     pairwise_sq_dists,
@@ -43,16 +42,17 @@ def good_matrix() -> np.ndarray:
 
 def bad_matrices() -> dict[str, np.ndarray]:
     good = good_matrix()
-    nan, inf = good.copy(), good.copy()
+    nan, inf, pinf = good.copy(), good.copy(), good.copy()
     nan[3, 2] = np.nan
     inf[5, 0] = -np.inf
-    return {"nan": nan, "inf": inf, "1-D": good[0], "empty": np.empty((0, D))}
+    # +inf and NaN sort to a column's last row and -inf to its first: a check of a sort's ends must read both
+    pinf[0, 1], pinf[-1, 4] = np.inf, np.nan
+    return {"nan": nan, "inf": inf, "+inf": pinf, "1-D": good[0], "empty": np.empty((0, D))}
 
 
 MATRIX_ENTRIES = {
     "pairwise_sq_dists": pairwise_sq_dists,
     "mean": mean,
-    "krum_scores": lambda m: krum_scores(m, 1),
     "krum": lambda m: krum(m, 1),
     "trimmed_mean": lambda m: trimmed_mean(m, 1),
     "median": median,
